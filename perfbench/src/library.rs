@@ -1,49 +1,34 @@
-//! The library workloads: one closed-loop caller repeating
-//! `Pipeline::solve` on a reused 2-thread workspace.
+//! The library workload `heuristic-300k`: one closed-loop caller
+//! repeating `Pipeline::solve` of `scale:sk:5,two` on one instance and a
+//! reused 2-thread workspace.
 
 use std::hint::black_box;
+use std::process::Command;
 use std::time::Instant;
 
 use dsmatch::engine::{Pipeline, SolveReport, Solver, Workspace};
 use dsmatch_graph::BipartiteGraph;
-use dsmatch_json::Json;
+use dsmatch_json::{parse_json, Json};
 
 use crate::inputs::{self, Fnv};
-use crate::{host, stats, Metrics, Outcome, THREADS};
+use crate::{host, stats, Metrics, Outcome, PARTS, THREADS};
 
-/// One library workload: instance family and size, and the pipeline the
-/// caller repeats.
-pub struct Spec {
-    pub name: &'static str,
-    pub n: usize,
-    pub instances: usize,
-    pub pipeline: &'static str,
-    /// The pipeline ends in an exact finisher, so every solve must reach
-    /// the structural rank.
-    pub exact: bool,
-    /// Set-ups per untraced run; `setup_s` is their median.
-    pub setup_reps: usize,
-}
-
-pub const HEURISTIC: Spec = Spec {
-    name: "heuristic-300k",
-    n: 300_000,
-    instances: 1,
-    pipeline: "scale:sk:5,two",
-    exact: false,
-    setup_reps: 5,
-};
+pub const NAME: &str = "heuristic-300k";
+/// Rows (and columns) of the instance.
+pub const N: usize = 300_000;
+/// The pipeline the caller repeats; it has no exact finisher.
+pub const PIPELINE: &str = "scale:sk:5,two";
 
 /// Everything the timed loop reuses.
 pub struct Prepared {
-    pub graphs: Vec<BipartiteGraph>,
+    pub graph: BipartiteGraph,
     pub ws: Workspace,
     pub pipeline: Pipeline,
 }
 
-/// Seed of instance `k` of a workload seed.
-fn instance_seed(seed: u64, k: usize) -> u64 {
-    inputs::derive(seed, k as u64)
+/// The workload's instance, a function of the workload seed.
+pub fn instance(seed: u64) -> BipartiteGraph {
+    inputs::er(N, inputs::derive(seed, 0))
 }
 
 /// Pipeline seed of the `k`-th timed solve.
@@ -52,40 +37,56 @@ pub fn op_seed(seed: u64, k: usize) -> u64 {
 }
 
 /// What a user of the library pays before the first timed solve:
-/// generation and CSR build, the 2-thread workspace, one warm-up solve
-/// per instance. Returns the prepared state and its wall time.
-pub fn setup(spec: &Spec, seed: u64) -> (Prepared, f64) {
+/// generation and CSR build, the 2-thread workspace, one warm-up solve.
+/// Returns the prepared state and its wall time.
+pub fn setup(seed: u64) -> (Prepared, f64) {
     let t0 = Instant::now();
-    let graphs: Vec<BipartiteGraph> =
-        (0..spec.instances).map(|k| inputs::er(spec.n, instance_seed(seed, k))).collect();
+    let graph = instance(seed);
     let mut ws = Workspace::with_threads(THREADS);
-    let pipeline: Pipeline = spec.pipeline.parse().expect("valid spec");
-    for g in &graphs {
-        black_box(pipeline.clone().with_seed(seed).solve(g, &mut ws));
-    }
-    (Prepared { graphs, ws, pipeline }, t0.elapsed().as_secs_f64())
+    let pipeline: Pipeline = PIPELINE.parse().expect("valid spec");
+    black_box(pipeline.clone().with_seed(seed).solve(&graph, &mut ws));
+    (Prepared { graph, ws, pipeline }, t0.elapsed().as_secs_f64())
 }
 
-/// Reference data (not part of set-up time): the structural rank of every
-/// instance and the input fingerprint.
-pub fn reference(spec: &Spec, seed: u64, graphs: &[BipartiteGraph]) -> (Vec<usize>, Json) {
-    let spranks: Vec<usize> = graphs.iter().map(inputs::sprank).collect();
+/// Reference data (not part of set-up time): the instance's structural
+/// rank and the input fingerprint.
+pub fn reference(seed: u64, g: &BipartiteGraph) -> (usize, Json) {
+    let sprank = inputs::sprank(g);
     let mut csr = Fnv::new();
-    for g in graphs {
-        inputs::hash_graph(&mut csr, g);
-    }
+    inputs::hash_graph(&mut csr, g);
     let mut warm = Fnv::new();
-    inputs::hash_mates(&mut warm, &inputs::warm_start(&graphs[0], seed));
+    inputs::hash_mates(&mut warm, &inputs::warm_start(g, seed));
     let fingerprint = Json::obj(vec![
-        ("workload", Json::from(spec.name)),
-        ("n", Json::from(spec.n)),
-        ("instances", Json::from(graphs.len())),
-        ("nnz", Json::Arr(graphs.iter().map(|g| Json::from(g.nnz())).collect())),
-        ("sprank", Json::Arr(spranks.iter().map(|&s| Json::from(s)).collect())),
+        ("workload", Json::from(NAME)),
+        ("n", Json::from(N)),
+        ("nnz", Json::from(g.nnz())),
+        ("sprank", Json::from(sprank)),
         ("csr_hash", inputs::hex(csr.finish())),
         ("warm_mates_hash", inputs::hex(warm.finish())),
     ]);
-    (spranks, fingerprint)
+    (sprank, fingerprint)
+}
+
+/// The reference data, computed by this binary's `fingerprint`
+/// subcommand in a child process, so that the reference work never sets
+/// this process's peak resident set (`peak_rss_mb`).
+fn reference_in_child(seed: u64) -> Result<(usize, Json), String> {
+    let exe = std::env::current_exe().map_err(|e| format!("locating perfbench: {e}"))?;
+    let out = Command::new(exe)
+        .args(["fingerprint", "--workload", NAME, "--seed", &seed.to_string()])
+        .output()
+        .map_err(|e| format!("running perfbench fingerprint: {e}"))?;
+    if !out.status.success() {
+        return Err(format!("perfbench fingerprint failed ({})", out.status));
+    }
+    let text = String::from_utf8_lossy(&out.stdout);
+    let fingerprint = parse_json(text.lines().last().unwrap_or_default())
+        .map_err(|e| format!("perfbench fingerprint printed no fingerprint: {e}"))?;
+    let sprank = fingerprint
+        .get("sprank")
+        .and_then(Json::as_usize)
+        .ok_or("the fingerprint holds no sprank")?;
+    Ok((sprank, fingerprint))
 }
 
 /// Cardinality of the heuristic (`two`) stage of a report.
@@ -109,59 +110,52 @@ pub struct Op {
     pub quality: Option<f64>,
 }
 
-/// The closed loop: solve until `seconds` of wall time have passed,
-/// cycling through the instances, one pipeline seed per solve, appending
-/// to `ops` (whose length numbers the solves across calls). Only the solve
-/// itself is inside the timer; its check runs outside.
-pub fn run_loop(
-    spec: &Spec,
-    prep: &mut Prepared,
-    spranks: &[usize],
-    seed: u64,
-    seconds: f64,
-    ops: &mut Vec<Op>,
-) {
+/// The closed loop: solve until `seconds` of wall time have passed, one
+/// pipeline seed per solve, appending to `ops` (whose length numbers the
+/// solves across calls). Each op's latency covers the solve alone; the
+/// returned wall time of the loop covers the checks too.
+fn run_loop(prep: &mut Prepared, sprank: usize, seed: u64, seconds: f64, ops: &mut Vec<Op>) -> f64 {
+    let exact = prep.pipeline.augment.is_some();
     let start = Instant::now();
     while start.elapsed().as_secs_f64() < seconds {
-        let k = ops.len();
-        let gi = k % prep.graphs.len();
-        let g = &prep.graphs[gi];
-        let pipeline = prep.pipeline.clone().with_seed(op_seed(seed, k));
+        let pipeline = prep.pipeline.clone().with_seed(op_seed(seed, ops.len()));
         let t = Instant::now();
-        let report = pipeline.solve(g, &mut prep.ws);
+        let report = pipeline.solve(&prep.graph, &mut prep.ws);
         let seconds = t.elapsed().as_secs_f64();
-        ops.push(Op { seconds, quality: check(&report, g, spranks[gi], spec.exact) });
+        ops.push(Op { seconds, quality: check(&report, &prep.graph, sprank, exact) });
     }
+    start.elapsed().as_secs_f64()
 }
 
-/// The untraced run: the timed loop split into `spec.setup_reps` parts,
-/// each on a fresh set-up, so set-up is sampled at several points of the
-/// run.
-pub fn run(spec: &Spec, seed: u64, seconds: f64) -> Outcome {
-    let mut setup_times = Vec::new();
-    let mut reference_data = None;
+/// The untraced run: the timed loop split into `PARTS` parts, each on a
+/// fresh set-up.
+pub fn run(seed: u64, seconds: f64) -> Result<Outcome, String> {
+    let (sprank, fingerprint) = reference_in_child(seed)?;
+    let mut setup_times = Vec::with_capacity(PARTS);
+    let mut wall = 0.0;
     let mut ops = Vec::new();
-    for _ in 0..spec.setup_reps {
-        let (mut prep, t) = setup(spec, seed);
+    let mut peak_rss_mib = 0.0;
+    for part in 0..PARTS {
+        let (mut prep, t) = setup(seed);
         setup_times.push(t);
-        let (spranks, _) =
-            reference_data.get_or_insert_with(|| reference(spec, seed, &prep.graphs));
-        let part = seconds / spec.setup_reps as f64;
-        run_loop(spec, &mut prep, spranks, seed, part, &mut ops);
+        wall += run_loop(&mut prep, sprank, seed, seconds / PARTS as f64, &mut ops);
+        if part == 0 {
+            // A later set-up may or may not land on memory the allocator
+            // kept from the part before (run to run, +15 MiB or nothing),
+            // so the peak is read once the first set-up and its solves ran.
+            peak_rss_mib = host::peak_rss_mib("self");
+        }
     }
-    let (_, fingerprint) = reference_data.expect("at least one set-up");
 
     let latencies: Vec<f64> = ops.iter().map(|o| o.seconds).collect();
     let qualities: Vec<f64> = ops.iter().filter_map(|o| o.quality).collect();
     let failed = ops.len() - qualities.len();
     let mut metrics = Metrics::default();
     metrics.set("setup_s", stats::median(&setup_times));
-    metrics.set("ops_per_s", ops.len() as f64 / latencies.iter().sum::<f64>());
-    metrics.set("latency_p50_s", stats::median(&latencies));
-    metrics.set("latency_p95_s", stats::percentile(&latencies, 0.95));
+    metrics.set_per_op(&latencies, wall);
     metrics.set("quality_ratio", qualities.iter().sum::<f64>() / qualities.len().max(1) as f64);
-    metrics.set("peak_rss_mb", host::peak_rss_mib("self"));
-    Outcome {
+    metrics.set("peak_rss_mb", peak_rss_mib);
+    Ok(Outcome {
         metrics,
         attempted: ops.len(),
         failed,
@@ -171,5 +165,5 @@ pub fn run(spec: &Spec, seed: u64, seconds: f64) -> Outcome {
             ("latency_samples", Json::from(latencies.len())),
             ("latency_p95_tail_samples", Json::from(stats::beyond(&latencies, 0.95))),
         ],
-    }
+    })
 }

@@ -35,6 +35,11 @@ pub use metrics::Metrics;
 /// Solver threads of every workload.
 pub const THREADS: usize = 2;
 
+/// Parts of an untraced run: its timed phase is split into this many
+/// equal parts, each after a fresh set-up, so that `setup_s` is a median
+/// over set-ups spread across the run.
+pub const PARTS: usize = 5;
+
 /// Where runs leave sockets and result sets, relative to the checkout.
 pub const RUN_DIR: &str = ".bench_run";
 
@@ -84,9 +89,9 @@ fn run(workload: &str, seed: u64, seconds: f64, traced: bool) -> Result<Outcome,
     // current.
     let bin = build_cli()?;
     match (workload, traced) {
-        ("heuristic-300k", false) => Ok(library::run(&library::HEURISTIC, seed, seconds)),
+        ("heuristic-300k", false) => library::run(seed, seconds),
         ("serve-mixed", false) => serve::run(&bin, seed, seconds),
-        ("heuristic-300k", true) => trace::run_library(&library::HEURISTIC, &bin, seed, seconds),
+        ("heuristic-300k", true) => trace::run_library(&bin, seed, seconds),
         ("serve-mixed", true) => trace::run_serve(&bin, seed, seconds),
         (other, _) => Err(format!("unknown workload {other:?}; expected one of {WORKLOADS:?}")),
     }
@@ -202,10 +207,7 @@ fn fingerprint(args: &[String]) -> Result<(), String> {
     let seed: u64 =
         arg(args, "seed").ok_or("missing --seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
     let fp = match workload.as_str() {
-        "heuristic-300k" => {
-            let (prep, _) = library::setup(&library::HEURISTIC, seed);
-            library::reference(&library::HEURISTIC, seed, &prep.graphs).1
-        }
+        "heuristic-300k" => library::reference(seed, &library::instance(seed)).1,
         "serve-mixed" => serve::build_inputs(seed, serve::FINGERPRINT_STEPS).fingerprint,
         other => return Err(format!("unknown workload {other:?}; expected one of {WORKLOADS:?}")),
     };

@@ -3,6 +3,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::stats;
+
 /// End-to-end metrics, printed by every untraced run (`--trace 0`).
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
@@ -76,6 +78,14 @@ impl Metrics {
 
     pub fn get(&self, name: &str) -> Option<f64> {
         self.0.get(name).copied()
+    }
+
+    /// `ops_per_s`, `latency_p50_s` and `latency_p95_s` of a run, from the
+    /// per-op latencies of all its timed parts and their summed wall time.
+    pub fn set_per_op(&mut self, latencies: &[f64], wall: f64) {
+        self.set("ops_per_s", latencies.len() as f64 / wall);
+        self.set("latency_p50_s", stats::median(latencies));
+        self.set("latency_p95_s", stats::percentile(latencies, 0.95));
     }
 }
 

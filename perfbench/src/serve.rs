@@ -15,7 +15,7 @@ use dsmatch_graph::{BipartiteGraph, Matching};
 use dsmatch_json::{parse_json, Json};
 
 use crate::inputs::{self, Fnv, Rng, DEGREE};
-use crate::{host, stats, Metrics, Outcome, THREADS};
+use crate::{host, stats, Metrics, Outcome, PARTS, THREADS};
 
 /// Rows of every `er` instance the daemon sees.
 pub const N: usize = 100_000;
@@ -32,9 +32,10 @@ const SCRIPT_LEN: usize = 20_000;
 /// Delta steps per connection the fingerprint hashes, whatever length a
 /// run replays.
 pub const FINGERPRINT_STEPS: usize = 16;
-/// Delta steps replayed per connection per second of timed phase: above
-/// the highest per-connection delta rate this mix reaches, so a run does
-/// not exhaust its script.
+/// Delta steps replayed per connection per second of timed phase: several
+/// times the per-connection delta rate this mix reaches (about one per
+/// second). A connection that runs out of steps fails the run (cause
+/// `script`) rather than change the job mix; raise this if it happens.
 const DELTA_STEPS_PER_S: f64 = 8.0;
 /// How long any single reply may take before the connection counts as
 /// broken.
@@ -497,7 +498,8 @@ pub struct Record {
     /// Heuristic-stage quality for kinds that have one.
     pub quality: Option<f64>,
     /// Why the job counts as failed: an error code, `wrong`, `garbled`,
-    /// `event` or `transport`.
+    /// `event`, `transport`, or `script` (a delta job found the replayed
+    /// script exhausted and was not sent).
     pub failure: Option<&'static str>,
 }
 
@@ -545,8 +547,7 @@ fn judge(
 }
 
 /// Drive one connection until `until` has passed since `start`.
-/// Returns its records, the time its last reply arrived, and how many
-/// delta jobs fell back to `er` solves because the replayed script ran out.
+/// Returns its records and the time its last reply arrived.
 fn drive(
     conn: &mut Conn,
     c: usize,
@@ -555,16 +556,21 @@ fn drive(
     next_step: &mut usize,
     start: Instant,
     until: f64,
-) -> (Vec<Record>, f64, usize) {
+) -> (Vec<Record>, f64) {
     let mut records = Vec::new();
-    let mut exhausted = 0;
     let mut end = 0.0;
     while start.elapsed().as_secs_f64() < until {
         let Some(plan) = script.next() else { break };
-        let mut kind = plan.kind;
+        let kind = plan.kind;
         if kind == Kind::Delta && *next_step >= inp.deltas[c].len() {
-            exhausted += 1;
-            kind = Kind::Er;
+            records.push(Record {
+                kind,
+                seconds: 0.0,
+                report_seconds: None,
+                quality: None,
+                failure: Some("script"),
+            });
+            break;
         }
         let (body, sprank, expected) = match kind {
             Kind::Cold => {
@@ -624,7 +630,7 @@ fn drive(
             }
         }
     }
-    (records, end, exhausted)
+    (records, end)
 }
 
 /// A whole serve session's measurements.
@@ -638,7 +644,6 @@ pub struct Session {
     pub ping_rtts: Vec<f64>,
     /// Peak resident set of each phase's daemon, in MiB.
     pub daemon_rss_mib: Vec<f64>,
-    pub exhausted: usize,
     pub fingerprint: Json,
 }
 
@@ -658,7 +663,6 @@ pub fn session(bin: &Path, seed: u64, phases: &[f64], pings: usize) -> Result<Se
         walls: Vec::new(),
         ping_rtts: Vec::new(),
         daemon_rss_mib: Vec::new(),
-        exhausted: 0,
         fingerprint: inp.fingerprint.clone(),
     };
     for (rep, &seconds) in phases.iter().enumerate() {
@@ -668,7 +672,7 @@ pub fn session(bin: &Path, seed: u64, phases: &[f64], pings: usize) -> Result<Se
         // A fresh daemon holds fresh delta handles: replay from step 0.
         let mut steps = [0usize; CONNECTIONS];
         let start = Instant::now();
-        let results: Vec<(Vec<Record>, f64, usize)> = std::thread::scope(|s| {
+        let results: Vec<(Vec<Record>, f64)> = std::thread::scope(|s| {
             let handles: Vec<_> = conns
                 .iter_mut()
                 .zip(scripts.iter_mut())
@@ -683,10 +687,9 @@ pub fn session(bin: &Path, seed: u64, phases: &[f64], pings: usize) -> Result<Se
         });
         let mut records = Vec::new();
         let mut wall: f64 = 0.0;
-        for (r, end, exhausted) in results {
+        for (r, end) in results {
             records.extend(r);
             wall = wall.max(end);
-            session.exhausted += exhausted;
         }
         session.phases.push(records);
         session.walls.push(wall);
@@ -723,22 +726,17 @@ fn kind_counts<'a>(records: impl IntoIterator<Item = &'a Record>) -> Json {
     Json::obj(counts.into_iter().map(|(k, v)| (k.name(), Json::from(v))).collect())
 }
 
-/// Set-up repetitions of the untraced run: the timed phase is split into
-/// this many parts, each on a freshly set-up daemon.
-const SETUP_REPS: usize = 4;
-
-/// The untraced run.
+/// The untraced run: the timed phase split into `PARTS` parts, each on a
+/// freshly set-up daemon.
 pub fn run(bin: &Path, seed: u64, seconds: f64) -> Result<Outcome, String> {
-    let session = session(bin, seed, &[seconds / SETUP_REPS as f64; SETUP_REPS], 0)?;
+    let session = session(bin, seed, &[seconds / PARTS as f64; PARTS], 0)?;
     let records: Vec<&Record> = session.phases.iter().flatten().collect();
     let latencies: Vec<f64> = records.iter().map(|r| r.seconds).collect();
     let qualities: Vec<f64> = records.iter().filter_map(|r| r.quality).collect();
     let failed = records.iter().filter(|r| r.failure.is_some()).count();
     let mut metrics = Metrics::default();
     metrics.set("setup_s", stats::median(&session.setup_times));
-    metrics.set("ops_per_s", records.len() as f64 / session.walls.iter().sum::<f64>());
-    metrics.set("latency_p50_s", stats::median(&latencies));
-    metrics.set("latency_p95_s", stats::percentile(&latencies, 0.95));
+    metrics.set_per_op(&latencies, session.walls.iter().sum());
     metrics.set("quality_ratio", qualities.iter().sum::<f64>() / qualities.len().max(1) as f64);
     metrics.set("peak_rss_mb", stats::median(&session.daemon_rss_mib));
     Ok(Outcome {
@@ -755,7 +753,6 @@ pub fn run(bin: &Path, seed: u64, seconds: f64) -> Result<Outcome, String> {
             ("latency_p95_tail_samples", Json::from(stats::beyond(&latencies, 0.95))),
             ("jobs_by_kind", kind_counts(records.iter().copied())),
             ("failures", failures(records.iter().copied())),
-            ("delta_script_exhausted", Json::from(session.exhausted)),
         ],
     })
 }

@@ -22,7 +22,7 @@ use dsmatch_weighted::{suitor, WeightedGraph};
 use rayon::prelude::*;
 
 use crate::inputs::{self, Rng, DEGREE};
-use crate::library::{self, Spec};
+use crate::library;
 use crate::serve::{self, Kind};
 use crate::{stats, Metrics, Outcome, THREADS};
 
@@ -127,18 +127,20 @@ struct Paired {
     failed: usize,
 }
 
-/// Alternate `Pipeline::solve` and its traced decomposition on the same
-/// seed until `seconds` have passed and at least `min_iters` pairs ran.
+/// Alternate `Pipeline::solve` of `pipeline` and its traced
+/// decomposition on the same seed until `seconds` have passed and at
+/// least `min_iters` pairs ran.
 fn paired(
     g: &BipartiteGraph,
     ws: &mut Workspace,
-    spec: &Spec,
+    pipeline: &str,
     sprank: usize,
     seed: u64,
     seconds: f64,
     min_iters: usize,
 ) -> Paired {
-    let pipeline: Pipeline = spec.pipeline.parse().expect("valid spec");
+    let pipeline: Pipeline = pipeline.parse().expect("valid spec");
+    let exact = pipeline.augment.is_some();
     let mut out = Paired::default();
     let start = Instant::now();
     let mut k = 0;
@@ -146,12 +148,12 @@ fn paired(
         let op_seed = library::op_seed(seed, k);
         let p = pipeline.clone().with_seed(op_seed);
         let (report, u) = timed(|| p.solve(g, ws));
-        let ((m, heuristic, spans), t) = timed(|| traced_op(g, ws, op_seed, spec.exact));
+        let ((m, heuristic, spans), t) = timed(|| traced_op(g, ws, op_seed, exact));
         out.attempted += 2;
-        let untraced_ok = library::check(&report, g, sprank, spec.exact).is_some();
+        let untraced_ok = library::check(&report, g, sprank, exact).is_some();
         let traced_ok = m.verify(g).is_ok()
             && Some(heuristic) == library::heuristic_cardinality(&report)
-            && (!spec.exact || m.cardinality() == sprank);
+            && (!exact || m.cardinality() == sprank);
         out.failed += usize::from(!untraced_ok) + usize::from(!traced_ok);
         out.untraced.push(u);
         out.traced.push(t);
@@ -170,8 +172,9 @@ fn layer_p50(p: &Paired, layer: &str) -> f64 {
 
 /// Per-layer times of the pipeline layers on the workload's own
 /// instance: generation, CSR build, verification, scaling, the
-/// heuristic's two kernels and the finisher, each at 2 threads and at 1.
-fn pipeline_layers(g: &BipartiteGraph, spec: &Spec, sprank: usize, seed: u64, m: &mut Metrics) {
+/// heuristic's two kernels and the finisher, each at 2 threads and at 1,
+/// and the JSON rendering of a `pipeline` report.
+fn pipeline_layers(g: &BipartiteGraph, pipeline: &str, sprank: usize, seed: u64, m: &mut Metrics) {
     let reps = LAYER_REPS;
     let (p1, p2) = (pool(1), pool(THREADS));
     let n = g.nrows();
@@ -263,7 +266,7 @@ fn pipeline_layers(g: &BipartiteGraph, spec: &Spec, sprank: usize, seed: u64, m:
     m.set("exact.phases", phases as f64);
     m.set("exact.augmentations", augmentations as f64);
 
-    let pipeline: Pipeline = spec.pipeline.parse().expect("valid spec");
+    let pipeline: Pipeline = pipeline.parse().expect("valid spec");
     let report = pipeline.with_seed(seed).solve(g, &mut Workspace::with_threads(THREADS));
     let text = report.to_json().to_string();
     m.set("json.report_s", median_of(20, || timed(|| report.to_json().to_string()).1));
@@ -369,18 +372,18 @@ fn serve_layers(seed: u64, m: &mut Metrics) {
     );
 }
 
-/// The traced run of a library workload.
-pub fn run_library(spec: &Spec, bin: &Path, seed: u64, seconds: f64) -> Result<Outcome, String> {
-    let (mut prep, _) = library::setup(spec, seed);
-    let (spranks, fingerprint) = library::reference(spec, seed, &prep.graphs);
-    let g = &prep.graphs[0];
-    let pairs = paired(g, &mut prep.ws, spec, spranks[0], seed, seconds / 2.0, 3);
+/// The traced run of the library workload.
+pub fn run_library(bin: &Path, seed: u64, seconds: f64) -> Result<Outcome, String> {
+    let (mut prep, _) = library::setup(seed);
+    let g = &prep.graph;
+    let (sprank, fingerprint) = library::reference(seed, g);
+    let pairs = paired(g, &mut prep.ws, library::PIPELINE, sprank, seed, seconds / 2.0, 3);
     let mut m = Metrics::default();
     let layer_sum: f64 = pairs.layers.keys().map(|l| layer_p50(&pairs, l)).sum();
     m.set("trace.overhead_s", stats::median(&pairs.traced) - stats::median(&pairs.untraced));
     m.set("trace.remainder_s", stats::median(&pairs.untraced) - layer_sum);
     m.set("engine.self_s", stats::median(&pairs.engine_self));
-    pipeline_layers(g, spec, spranks[0], seed, &mut m);
+    pipeline_layers(g, library::PIPELINE, sprank, seed, &mut m);
     drop(prep);
     serve_layers(seed, &mut m);
     let session = serve::session(bin, seed, &[(seconds / 2.0).min(4.0)], 50)?;
@@ -409,21 +412,13 @@ pub fn run_serve(bin: &Path, seed: u64, seconds: f64) -> Result<Outcome, String>
     let mut m = Metrics::default();
     serve::layer_metrics(&session, &mut m);
 
-    let spec = Spec {
-        name: "serve-mixed",
-        n: serve::N,
-        instances: 1,
-        pipeline: Kind::Er.pipeline(),
-        exact: true,
-        setup_reps: 1,
-    };
     let g = inputs::er(serve::N, serve::er_seed(seed));
     let sprank = inputs::sprank(&g);
     let mut ws = Workspace::with_threads(1);
-    let pairs = paired(&g, &mut ws, &spec, sprank, seed, 0.0, 10);
+    let pairs = paired(&g, &mut ws, Kind::Er.pipeline(), sprank, seed, 0.0, 10);
     m.set("trace.overhead_s", stats::median(&pairs.traced) - stats::median(&pairs.untraced));
     m.set("engine.self_s", stats::median(&pairs.engine_self));
-    pipeline_layers(&g, &spec, sprank, seed, &mut m);
+    pipeline_layers(&g, Kind::Er.pipeline(), sprank, seed, &mut m);
     serve_layers(seed, &mut m);
 
     // What the measured layers leave of a job's latency: transport,
