@@ -8,7 +8,7 @@
 //! Duff–Kaya–Uçar's transversal studies) parallelizes exactly this stage
 //! by growing the alternating BFS structure from **all** free rows at once,
 //! one level at a time, with each level's adjacency scan fanned across the
-//! pool. This module implements two such finishers on top of the
+//! pool. This module implements two such engines on top of the
 //! workspace's rayon runtime:
 //!
 //! - [`hopcroft_karp_par`] (`hk-par`): Hopcroft–Karp whose per-phase BFS
@@ -18,39 +18,39 @@
 //!   ([`FrontierChunk`]), which are merged **sequentially in chunk order**
 //!   (first discovery wins, exactly like the sequential queue). The
 //!   distance labels are therefore byte-identical to sequential
-//!   [`hopcroft_karp`]'s, and since the blocking-DFS half is shared
-//!   ([`dfs_layered`]), the returned matching is **byte-identical to
-//!   sequential Hopcroft–Karp at every pool size** — parallelism buys wall
-//!   time, never a different answer.
-//! - [`pothen_fan_par`] (`pf-par`): a tree-grafting-style variant of
-//!   Pothen–Fan. Instead of one lookahead DFS per free row, each phase
-//!   grows a BFS *forest* rooted at every free row (parent pointers per
-//!   row), stops at the first level where any tree reaches a free column
-//!   — Pothen–Fan's lookahead generalized to a whole level — and then
-//!   harvests a set of vertex-disjoint augmenting paths by walking parent
-//!   pointers in deterministic merge order. Phases repeat until a forest
-//!   reaches no free column, which certifies maximality (Berge). The
-//!   forest is rebuilt per phase; the harvest order is deterministic, so
-//!   results are byte-identical across pool sizes.
-//! - [`pothen_fan_graft`] (`pf-graft`): the incremental renewable-forest
-//!   variant of `pf-par` (Azad–Buluç–Pothen's tree grafting). Where
-//!   `pf-par` throws its forest away after every harvest and rebuilds it
-//!   from the free rows, `pf-graft` keeps the same forest alive across
-//!   harvests within an *epoch*: after harvesting a level's augmenting
-//!   paths it keeps growing the surviving trees deeper, lazily pruning
-//!   subtrees orphaned by the harvest (an ancestor walk per attachment,
-//!   memoized in `used`/`alive` stamps, amortized O(1) per row). An epoch
-//!   ends when the frontier drains; a whole epoch with zero augmentations
-//!   is exactly a full `pf-par` certifying phase, so the Berge maximality
-//!   argument carries over unchanged. One epoch harvests at many levels,
-//!   so the O(n) forest rebuild runs far fewer times — `phases` counts
-//!   epochs and drops sharply versus `pf-par` on high-phase-count
-//!   instances. The chunk-merge harvest and pruning walks are sequential
-//!   in deterministic order, so `pf-graft` is byte-identical across pool
-//!   sizes too (its mates may differ from `pf-par`'s — both are maximum).
+//!   [`hopcroft_karp`]'s, and since everything else — the phase loop and
+//!   its blocking DFS ([`dfs_layered`]) — is `hk`'s own code, the returned
+//!   matching is **byte-identical to sequential Hopcroft–Karp at every
+//!   pool size** — parallelism buys wall time, never a different answer.
+//! - [`pothen_fan_par`] (`pf-par`) and [`pothen_fan_graft`] (`pf-graft`):
+//!   tree-grafting-style parallel Pothen–Fan, two modes of one forest
+//!   engine. Instead of one lookahead DFS per free row, each *epoch* grows
+//!   a BFS forest rooted at every free row (parent pointers per row), one
+//!   parallel level scan at a time, and at each level that reaches free
+//!   columns — Pothen–Fan's lookahead generalized to a whole level — it
+//!   harvests vertex-disjoint augmenting paths by walking parent pointers
+//!   in deterministic merge order. The modes differ only in where an epoch
+//!   ends:
+//!   - `pf-par` ends it after the first level whose harvest augments, so
+//!     the forest is rebuilt from the free rows after every harvest;
+//!   - `pf-graft` (Azad–Buluç–Pothen's renewable forest) keeps growing the
+//!     surviving trees after each harvest, lazily pruning subtrees
+//!     orphaned by it (an ancestor walk per attachment, memoized in
+//!     `used`/`alive` stamps, amortized O(1) per row), until the frontier
+//!     drains. One epoch harvests at many levels, so the O(n) forest
+//!     rebuild runs far fewer times — `phases` counts epochs and drops
+//!     sharply versus `pf-par` on high-phase-count instances.
 //!
-//! Both reuse [`AugmentWorkspace`] — the per-chunk scan buffers live there
-//! too — so engine batch solves stay allocation-free after warm-up.
+//!   Either way the solve ends after an epoch that augments nothing: it
+//!   harvested and pruned nothing, so it is the full BFS forest from every
+//!   free row reaching no free column, which certifies maximality (Berge).
+//!   Harvests and pruning walks run sequentially in deterministic chunk
+//!   order, so both modes are byte-identical across pool sizes (their
+//!   mates differ from each other's — both are maximum).
+//!
+//! Both engines reuse [`AugmentWorkspace`] — the per-chunk scan buffers
+//! live there too — so engine batch solves stay allocation-free after
+//! warm-up.
 //!
 //! [`hopcroft_karp`]: crate::hopcroft_karp
 //! [`dfs_layered`]: crate::hopcroft_karp::dfs_layered
@@ -58,7 +58,7 @@
 use dsmatch_graph::{BipartiteGraph, CancelToken, Cancelled, Matching, NIL};
 use rayon::prelude::*;
 
-use crate::hopcroft_karp::{dfs_layered, HopcroftKarpStats, INF};
+use crate::hopcroft_karp::{phase_loop, HopcroftKarpStats, INF};
 use crate::workspace::{load_initial, AugmentWorkspace, FrontierChunk};
 
 /// Work counters of a tree-grafting-style parallel Pothen–Fan run.
@@ -228,27 +228,7 @@ pub fn hopcroft_karp_par_cancel(
     ws: &mut AugmentWorkspace,
     token: &CancelToken,
 ) -> Result<(Matching, HopcroftKarpStats), Cancelled> {
-    load_initial(g, initial, ws);
-    ws.dist.clear();
-    ws.dist.resize(g.nrows(), INF);
-    ws.iter.clear();
-    ws.iter.resize(g.nrows(), 0);
-
-    let mut stats = HopcroftKarpStats::default();
-    loop {
-        token.check()?;
-        stats.phases += 1;
-        if !bfs_level_sync(g, ws, &mut stats) {
-            break;
-        }
-        ws.iter.iter_mut().for_each(|x| *x = 0);
-        for i in 0..g.nrows() {
-            if ws.rmate[i] == NIL && dfs_layered(g, ws, i) {
-                stats.augmentations += 1;
-            }
-        }
-    }
-    Ok((Matching::from_mates(ws.rmate.clone(), ws.cmate.clone()), stats))
+    phase_loop(g, initial, ws, token, bfs_level_sync)
 }
 
 /// Maximum-cardinality matching from scratch via [`pothen_fan_par_ws`].
@@ -256,7 +236,8 @@ pub fn pothen_fan_par(g: &BipartiteGraph) -> Matching {
     pothen_fan_par_ws(g, None, &mut AugmentWorkspace::new()).0
 }
 
-/// Tree-grafting-style parallel Pothen–Fan — the `pf-par` finisher.
+/// Tree-grafting-style parallel Pothen–Fan — the `pf-par` finisher, the
+/// forest engine's early-stop mode.
 ///
 /// Each phase grows a BFS forest from every free row (one parallel
 /// level-synchronized sweep per level, Pothen–Fan's lookahead generalized
@@ -280,8 +261,8 @@ pub fn pothen_fan_par_ws(
 }
 
 /// [`pothen_fan_par_ws`] with cooperative cancellation: the token is
-/// polled once per forest phase, so cancellation is observed within one
-/// phase. On [`Cancelled`] the workspace is left reusable.
+/// polled once per forest level, so cancellation is observed within one
+/// level scan. On [`Cancelled`] the workspace is left reusable.
 ///
 /// # Panics
 /// If `initial` is `Some` and not a valid matching of `g`.
@@ -291,114 +272,7 @@ pub fn pothen_fan_par_cancel(
     ws: &mut AugmentWorkspace,
     token: &CancelToken,
 ) -> Result<(Matching, PothenFanParStats), Cancelled> {
-    load_initial(g, initial, ws);
-    let n_r = g.nrows();
-    ws.visited.clear();
-    ws.visited.resize(n_r, 0);
-    ws.used.clear();
-    ws.used.resize(n_r, 0);
-    ws.parent_col.clear();
-    ws.parent_col.resize(n_r, NIL);
-    ws.parent_row.clear();
-    ws.parent_row.resize(n_r, NIL);
-
-    let mut stats = PothenFanParStats::default();
-    let mut stamp = 0u32;
-    loop {
-        token.check()?;
-        stamp += 1;
-        stats.phases += 1;
-        // Roots: every still-free row with any support.
-        ws.frontier.clear();
-        for i in 0..n_r {
-            if ws.rmate[i] == NIL && g.row_degree(i) > 0 {
-                ws.visited[i] = stamp;
-                ws.parent_col[i] = NIL;
-                ws.frontier.push(i as u32);
-            }
-        }
-        let mut augmented = 0usize;
-        while !ws.frontier.is_empty() {
-            stats.rows_visited += ws.frontier.len();
-            let AugmentWorkspace {
-                frontier,
-                next_frontier,
-                visited,
-                used,
-                parent_col,
-                parent_row,
-                rmate,
-                cmate,
-                chunks,
-                ..
-            } = ws;
-            let scanned =
-                scan_frontier(g, cmate, |r| visited[r as usize] == stamp, frontier, chunks);
-            if scanned.iter().any(|c| !c.hits.is_empty()) {
-                // Shortest level with free columns: harvest disjoint
-                // augmenting paths in merge order. The first candidate
-                // always commits, so every non-final phase augments.
-                for c in scanned {
-                    'hit: for &(leaf, free_col) in &c.hits {
-                        if cmate[free_col as usize] != NIL {
-                            continue; // column taken earlier this harvest
-                        }
-                        // Validate: no row on the leaf→root walk may sit
-                        // on an already-flipped path (interior columns are
-                        // covered too — a path through column c must pass
-                        // through c's pre-flip mate row).
-                        let mut row = leaf;
-                        loop {
-                            if used[row as usize] == stamp {
-                                continue 'hit;
-                            }
-                            if parent_col[row as usize] == NIL {
-                                break;
-                            }
-                            row = parent_row[row as usize];
-                        }
-                        // Commit: flip matched/unmatched along the path.
-                        let mut row = leaf;
-                        let mut col = free_col;
-                        loop {
-                            let pc = parent_col[row as usize];
-                            let pr = parent_row[row as usize];
-                            rmate[row as usize] = col;
-                            cmate[col as usize] = row;
-                            used[row as usize] = stamp;
-                            if pc == NIL {
-                                break;
-                            }
-                            col = pc;
-                            row = pr;
-                        }
-                        augmented += 1;
-                    }
-                }
-                break; // phase done: longer paths wait for the next forest
-            }
-            // No free column at this level: graft the next level onto the
-            // forest (first discovery wins, in chunk order).
-            next_frontier.clear();
-            for c in scanned {
-                for &(next, via, from) in &c.rows {
-                    if visited[next as usize] != stamp {
-                        visited[next as usize] = stamp;
-                        parent_col[next as usize] = via;
-                        parent_row[next as usize] = from;
-                        next_frontier.push(next);
-                    }
-                }
-            }
-            std::mem::swap(frontier, next_frontier);
-        }
-        stats.augmentations += augmented;
-        if augmented == 0 {
-            // The forest reached no free column: maximum by Berge.
-            break;
-        }
-    }
-    Ok((Matching::from_mates(ws.rmate.clone(), ws.cmate.clone()), stats))
+    forest(g, initial, ws, token, EpochEnd::FirstHarvest)
 }
 
 /// Maximum-cardinality matching from scratch via [`pothen_fan_graft_ws`].
@@ -411,12 +285,12 @@ pub fn pothen_fan_graft(g: &BipartiteGraph) -> Matching {
 ///
 /// [`pothen_fan_par_ws`] discards its BFS forest after every harvest and
 /// rebuilds it from the free rows — an O(n)-per-phase cost that dominates
-/// on high-phase-count instances. This variant keeps the
-/// `parent_col`/`parent_row` forest alive across harvests: one **epoch**
-/// grows a forest level by level, harvests vertex-disjoint augmenting
-/// paths at *every* level where the scan reaches free columns (same
-/// deterministic chunk-merge order as `pf-par`), and keeps extending the
-/// surviving trees instead of starting over. Vertices consumed by a
+/// on high-phase-count instances. This mode of the same forest engine
+/// keeps the `parent_col`/`parent_row` forest alive across harvests: one
+/// **epoch** grows a forest level by level, harvests vertex-disjoint
+/// augmenting paths at *every* level where the scan reaches free columns
+/// (same deterministic chunk-merge order as `pf-par`), and keeps extending
+/// the surviving trees instead of starting over. Vertices consumed by a
 /// harvest are invalidated by their `used` stamps; subtrees they orphan
 /// are pruned lazily — each attachment after a harvest walks its
 /// ancestors, memoizing "dead" into `used` (dead is permanent within an
@@ -445,8 +319,8 @@ pub fn pothen_fan_graft_ws(
 }
 
 /// [`pothen_fan_graft_ws`] with cooperative cancellation: the token is
-/// polled once per epoch, so cancellation is observed within one epoch.
-/// On [`Cancelled`] the workspace is left reusable.
+/// polled once per forest level, so cancellation is observed within one
+/// level scan. On [`Cancelled`] the workspace is left reusable.
 ///
 /// # Panics
 /// If `initial` is `Some` and not a valid matching of `g`.
@@ -455,6 +329,29 @@ pub fn pothen_fan_graft_cancel(
     initial: Option<&Matching>,
     ws: &mut AugmentWorkspace,
     token: &CancelToken,
+) -> Result<(Matching, PothenFanParStats), Cancelled> {
+    forest(g, initial, ws, token, EpochEnd::Drained)
+}
+
+/// Where an epoch of the forest engine ends: the one difference between
+/// `pf-par` and `pf-graft`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum EpochEnd {
+    /// `pf-par`: after the first level whose harvest augments.
+    FirstHarvest,
+    /// `pf-graft`: when the frontier drains.
+    Drained,
+}
+
+/// The Pothen–Fan forest engine behind [`pothen_fan_par_cancel`] and
+/// [`pothen_fan_graft_cancel`] (see the module docs). The token is polled
+/// at every epoch start and before every level scan.
+fn forest(
+    g: &BipartiteGraph,
+    initial: Option<&Matching>,
+    ws: &mut AugmentWorkspace,
+    token: &CancelToken,
+    end: EpochEnd,
 ) -> Result<(Matching, PothenFanParStats), Cancelled> {
     load_initial(g, initial, ws);
     let n_r = g.nrows();
@@ -475,10 +372,10 @@ pub fn pothen_fan_graft_cancel(
     // confirmed alive earlier), so they stamp against their own counter.
     let mut alive_stamp = 0u32;
     loop {
-        // One epoch = one renewable forest, harvested at many levels.
         token.check()?;
         stamp += 1;
         stats.phases += 1;
+        // Roots: every still-free row with any support.
         ws.frontier.clear();
         for i in 0..n_r {
             if ws.rmate[i] == NIL && g.row_degree(i) > 0 {
@@ -489,8 +386,6 @@ pub fn pothen_fan_graft_cancel(
         }
         let mut epoch_augmented = 0usize;
         while !ws.frontier.is_empty() {
-            // One epoch replaces many `pf-par` phases, so poll per level to
-            // keep cancellation latency at one-phase granularity.
             token.check()?;
             stats.rows_visited += ws.frontier.len();
             alive_stamp += 1;
@@ -510,16 +405,20 @@ pub fn pothen_fan_graft_cancel(
             let scanned =
                 scan_frontier(g, cmate, |r| visited[r as usize] == stamp, frontier, chunks);
             // Harvest whatever free columns this level reached, in merge
-            // order — identical validation and flip to `pf-par`'s harvest.
-            // The forest invariant it relies on (`cmate[parent_col[r]] == r`
-            // for every non-`used` tree row `r`) survives earlier harvests:
-            // a column's mate only changes when its pre-flip mate row is on
-            // the flipped path, and every such row is stamped `used`.
+            // order. The forest invariant the harvest relies on
+            // (`cmate[parent_col[r]] == r` for every non-`used` tree row
+            // `r`) survives earlier harvests: a column's mate only changes
+            // when its pre-flip mate row is on the flipped path, and every
+            // such row is stamped `used`.
             for c in scanned {
                 'hit: for &(leaf, free_col) in &c.hits {
                     if cmate[free_col as usize] != NIL {
                         continue; // column taken earlier this harvest
                     }
+                    // Validate: no row on the leaf→root walk may sit on an
+                    // already-flipped path (interior columns are covered
+                    // too — a path through column c must pass through c's
+                    // pre-flip mate row).
                     let mut row = leaf;
                     loop {
                         if used[row as usize] == stamp {
@@ -530,6 +429,7 @@ pub fn pothen_fan_graft_cancel(
                         }
                         row = parent_row[row as usize];
                     }
+                    // Commit: flip matched/unmatched along the path.
                     let mut row = leaf;
                     let mut col = free_col;
                     loop {
@@ -547,11 +447,15 @@ pub fn pothen_fan_graft_cancel(
                     epoch_augmented += 1;
                 }
             }
-            // Graft the next level onto the *surviving* forest. Rows freshly
-            // matched by the harvest are already `visited`, so their stale
-            // discoveries drop out; attachments under a consumed ancestor
-            // are pruned by a memoized root walk (only needed once the
-            // epoch has harvested — before that every tree is alive).
+            if end == EpochEnd::FirstHarvest && epoch_augmented > 0 {
+                break; // longer paths wait for the next forest
+            }
+            // Graft the next level onto the *surviving* forest (first
+            // discovery wins, in chunk order). Rows freshly matched by the
+            // harvest are already `visited`, so their stale discoveries
+            // drop out; attachments under a consumed ancestor are pruned
+            // by a memoized root walk (only needed once the epoch has
+            // harvested — before that every tree is alive).
             next_frontier.clear();
             for c in scanned {
                 for &(next, via, from) in &c.rows {

@@ -29,66 +29,90 @@ pub struct HopcroftKarpStats {
 
 pub(crate) const INF: u32 = u32::MAX;
 
-struct Hk<'g, 'w> {
-    g: &'g BipartiteGraph,
-    ws: &'w mut AugmentWorkspace,
-    stats: HopcroftKarpStats,
+/// Sequential queue BFS from all free rows — the BFS `hk` hands to
+/// [`phase_loop`], and the reference that `hk-par`'s level-synchronized
+/// BFS reproduces label for label. Labels `ws.dist` with layer numbers, cuts
+/// off layers beyond the first free column, and returns whether a free
+/// column is reachable (i.e., an augmenting path exists).
+fn bfs_queue(g: &BipartiteGraph, ws: &mut AugmentWorkspace, stats: &mut HopcroftKarpStats) -> bool {
+    ws.queue.clear();
+    for i in 0..g.nrows() {
+        if ws.rmate[i] == NIL {
+            ws.dist[i] = 0;
+            ws.queue.push(i as u32);
+        } else {
+            ws.dist[i] = INF;
+        }
+    }
+    let mut found = false;
+    let mut head = 0usize;
+    let mut frontier_cap = INF; // cut off layers beyond first success
+    while head < ws.queue.len() {
+        let i = ws.queue[head] as usize;
+        head += 1;
+        stats.bfs_visits += 1;
+        let d = ws.dist[i];
+        if d >= frontier_cap {
+            break;
+        }
+        for &j in g.row_adj(i) {
+            let next = ws.cmate[j as usize];
+            if next == NIL {
+                // Free column reached: shortest augmenting length is
+                // d+1; stop expanding deeper layers.
+                found = true;
+                frontier_cap = frontier_cap.min(d + 1);
+            } else if ws.dist[next as usize] == INF {
+                ws.dist[next as usize] = d + 1;
+                ws.queue.push(next);
+            }
+        }
+    }
+    found
 }
 
-impl<'g, 'w> Hk<'g, 'w> {
-    /// BFS from all free rows; returns true if some free column is
-    /// reachable (i.e., an augmenting path exists).
-    fn bfs(&mut self) -> bool {
-        let ws = &mut *self.ws;
-        ws.queue.clear();
-        for i in 0..self.g.nrows() {
-            if ws.rmate[i] == NIL {
-                ws.dist[i] = 0;
-                ws.queue.push(i as u32);
-            } else {
-                ws.dist[i] = INF;
-            }
-        }
-        let mut found = false;
-        let mut head = 0usize;
-        let mut frontier_cap = INF; // cut off layers beyond first success
-        while head < ws.queue.len() {
-            let i = ws.queue[head] as usize;
-            head += 1;
-            self.stats.bfs_visits += 1;
-            let d = ws.dist[i];
-            if d >= frontier_cap {
-                break;
-            }
-            for &j in self.g.row_adj(i) {
-                let next = ws.cmate[j as usize];
-                if next == NIL {
-                    // Free column reached: shortest augmenting length is
-                    // d+1; stop expanding deeper layers.
-                    found = true;
-                    frontier_cap = frontier_cap.min(d + 1);
-                } else if ws.dist[next as usize] == INF {
-                    ws.dist[next as usize] = d + 1;
-                    ws.queue.push(next);
-                }
-            }
-        }
-        found
-    }
+/// The Hopcroft–Karp phase loop shared by `hk` and `hk-par`, which differ
+/// only in the `bfs` that labels the layers ([`bfs_queue`] or the parallel
+/// level-synchronized one). Each phase polls `token`, runs `bfs`, and
+/// while it reaches a free column applies a blocking set of shortest
+/// augmenting paths with [`dfs_layered`].
+pub(crate) fn phase_loop(
+    g: &BipartiteGraph,
+    initial: Option<&Matching>,
+    ws: &mut AugmentWorkspace,
+    token: &CancelToken,
+    bfs: fn(&BipartiteGraph, &mut AugmentWorkspace, &mut HopcroftKarpStats) -> bool,
+) -> Result<(Matching, HopcroftKarpStats), Cancelled> {
+    crate::workspace::load_initial(g, initial, ws);
+    ws.dist.clear();
+    ws.dist.resize(g.nrows(), INF);
+    ws.iter.clear();
+    ws.iter.resize(g.nrows(), 0);
 
-    /// Blocking-DFS step for free row `root`; see [`dfs_layered`].
-    fn dfs(&mut self, root: usize) -> bool {
-        dfs_layered(self.g, self.ws, root)
+    let mut stats = HopcroftKarpStats::default();
+    loop {
+        token.check()?;
+        stats.phases += 1;
+        if !bfs(g, ws, &mut stats) {
+            break;
+        }
+        ws.iter.iter_mut().for_each(|x| *x = 0);
+        for i in 0..g.nrows() {
+            if ws.rmate[i] == NIL && dfs_layered(g, ws, i) {
+                stats.augmentations += 1;
+            }
+        }
     }
+    Ok((Matching::from_mates(ws.rmate.clone(), ws.cmate.clone()), stats))
 }
 
 /// Iterative DFS along the layered structure (`ws.dist`) from free row
 /// `root`; augments along a shortest path if one is found. Iterative so
 /// the paper-scale instances (10⁵–10⁷ vertices) cannot overflow the
-/// stack. Shared by sequential [`hopcroft_karp_ws`] and the parallel-BFS
-/// variant [`crate::hopcroft_karp_par_ws`] — identical distance labels in,
-/// identical augmentations out.
-pub(crate) fn dfs_layered(g: &BipartiteGraph, ws: &mut AugmentWorkspace, root: usize) -> bool {
+/// stack. The blocking half of every [`phase_loop`] phase, whichever BFS
+/// labeled the layers — identical distance labels in, identical
+/// augmentations out.
+fn dfs_layered(g: &BipartiteGraph, ws: &mut AugmentWorkspace, root: usize) -> bool {
     // `stack` holds the row path; `entry_col[k]` is the column through
     // which `stack[k]` was entered (unused sentinel for the root).
     ws.stack.clear();
@@ -183,29 +207,7 @@ pub fn hopcroft_karp_cancel_ws(
     ws: &mut AugmentWorkspace,
     token: &CancelToken,
 ) -> Result<(Matching, HopcroftKarpStats), Cancelled> {
-    crate::workspace::load_initial(g, initial, ws);
-    ws.dist.clear();
-    ws.dist.resize(g.nrows(), INF);
-    ws.queue.clear();
-    ws.iter.clear();
-    ws.iter.resize(g.nrows(), 0);
-
-    let mut hk = Hk { g, ws, stats: HopcroftKarpStats::default() };
-    loop {
-        token.check()?;
-        hk.stats.phases += 1;
-        if !hk.bfs() {
-            break;
-        }
-        hk.ws.iter.iter_mut().for_each(|x| *x = 0);
-        for i in 0..g.nrows() {
-            if hk.ws.rmate[i] == NIL && hk.dfs(i) {
-                hk.stats.augmentations += 1;
-            }
-        }
-    }
-    let stats = hk.stats;
-    Ok((Matching::from_mates(ws.rmate.clone(), ws.cmate.clone()), stats))
+    phase_loop(g, initial, ws, token, bfs_queue)
 }
 
 #[cfg(test)]

@@ -11,15 +11,18 @@
 //!   *lookahead* optimization, accepting an arbitrary initial matching, so
 //!   the workspace can measure the paper's motivating use case: how much
 //!   augmentation work a jump-start heuristic saves;
-//! - [`hopcroft_karp_par`] / [`pothen_fan_par`] — the multicore finishers
-//!   (`hk-par` / `pf-par`): level-synchronized parallel BFS in the style
-//!   of the tree-grafting literature (Azad–Buluç–Pothen) feeding the same
-//!   augmentation machinery, byte-identical results at every pool size
-//!   (see the docs on [`hopcroft_karp_par_ws`] / [`pothen_fan_par_ws`]);
-//! - [`pothen_fan_graft`] — the incremental renewable-forest variant of
-//!   `pf-par` (`pf-graft`): the BFS forest survives across harvests
-//!   within an epoch instead of being rebuilt per phase, with lazy
-//!   orphan-subtree pruning (see [`pothen_fan_graft_ws`]);
+//! - [`hopcroft_karp_par`] — the multicore Hopcroft–Karp (`hk-par`): the
+//!   same phase loop as [`hopcroft_karp`] with a level-synchronized
+//!   parallel BFS in the style of the tree-grafting literature
+//!   (Azad–Buluç–Pothen), byte-identical to `hk` at every pool size (see
+//!   [`hopcroft_karp_par_ws`]);
+//! - [`pothen_fan_graft`] / [`pothen_fan_par`] — the multicore Pothen–Fan
+//!   finishers (`pf-graft` / `pf-par`), two modes of one parallel BFS
+//!   forest engine. `pf-graft` keeps its forest alive across harvests
+//!   within an epoch, with lazy orphan-subtree pruning (see
+//!   [`pothen_fan_graft_ws`]); `pf-par` is its early-stop mode, ending
+//!   each epoch after the first level whose harvest augments (see
+//!   [`pothen_fan_par_ws`]). Both are byte-identical at every pool size;
 //! - [`push_relabel`] — the auction/push-relabel scheme the paper's
 //!   related work (\[9\], \[21\]) evaluates as the main alternative to
 //!   augmenting-path solvers;
@@ -33,11 +36,11 @@
 //! `Cancelled`, leaving their workspaces reusable — the substrate for job
 //! deadlines in the serve daemon. The parallel finishers
 //! ([`hopcroft_karp_par_cancel`], [`pothen_fan_par_cancel`],
-//! [`pothen_fan_graft_cancel`], [`push_relabel_cancel`]) poll at phase/epoch
-//! boundaries; the sequential engines ([`hopcroft_karp_cancel_ws`],
-//! [`pothen_fan_cancel_ws`]) poll once per phase and every 256 DFS roots
-//! respectively, so even a single long sequential solve observes its
-//! deadline mid-run.
+//! [`pothen_fan_graft_cancel`], [`push_relabel_cancel`]) poll at phase or
+//! forest-level boundaries; the sequential engines
+//! ([`hopcroft_karp_cancel_ws`], [`pothen_fan_cancel_ws`]) poll once per
+//! phase and every 256 DFS roots respectively, so even a single long
+//! sequential solve observes its deadline mid-run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -308,7 +308,7 @@ fn main() -> ExitCode {
     let pool_size = batch_pool.as_ref().map_or_else(|| ws.threads(), WorkspacePool::threads);
     let observed_workers = match &batch_pool {
         Some(p) => p.run(dsmatch::engine::observed_parallelism),
-        None => ws.run(dsmatch::engine::observed_parallelism),
+        None => ws.run(|_| dsmatch::engine::observed_parallelism()),
     };
     eprintln!("thread pool: {pool_size} threads ({observed_workers} distinct workers observed)");
 

@@ -36,7 +36,7 @@
 //! assert_eq!(reports.len(), 4);
 //! ```
 
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Mutex, TryLockError};
 
 use dsmatch_graph::BipartiteGraph;
 use rayon::prelude::*;
@@ -48,20 +48,14 @@ use super::workspace::Workspace;
 /// A pool of reusable [`Workspace`]s, one per worker (plus one for the
 /// submitting thread), backing [`Pipeline::solve_batch`].
 ///
-/// Built by [`Workspace::per_worker`] (owns a thread pool of the requested
-/// size) or [`WorkspacePool::ambient`] (uses whatever pool is current at
-/// solve time). Workspaces are lazily grown scratch arenas: after each
+/// Built by [`Workspace::per_worker`], which owns a thread pool of the
+/// requested size. Workspaces are lazily grown scratch arenas: after each
 /// worker's first solve of a given instance shape, batch solving allocates
 /// only the returned matchings.
 #[derive(Debug)]
 pub struct WorkspacePool {
     slots: Vec<Mutex<Workspace>>,
-    /// Reusable workspaces for solves that found every slot busy (an
-    /// [`ambient`](WorkspacePool::ambient) pool driven from a larger pool
-    /// than it was built under) — cached so overflow does not pay a
-    /// workspace construction (with its pinned 1-thread pool) per solve.
-    overflow: Mutex<Vec<Workspace>>,
-    pool: Option<Arc<rayon::ThreadPool>>,
+    pool: rayon::ThreadPool,
 }
 
 impl Workspace {
@@ -73,18 +67,7 @@ impl Workspace {
             .num_threads(threads)
             .build()
             .expect("failed to build batch thread pool");
-        WorkspacePool::with_slots(pool.current_num_threads() + 1, Some(Arc::new(pool)))
-    }
-}
-
-impl WorkspacePool {
-    /// A workspace pool sized for the *ambient* thread pool (the caller's
-    /// installed pool, or the global one) instead of owning its own.
-    pub fn ambient() -> Self {
-        Self::with_slots(rayon::current_num_threads() + 1, None)
-    }
-
-    fn with_slots(slots: usize, pool: Option<Arc<rayon::ThreadPool>>) -> Self {
+        let slots = pool.current_num_threads() + 1;
         WorkspacePool {
             // Each slot pins a 1-thread pool: batch items must solve on
             // the *sequential* schedule for the byte-identical-to-1-thread
@@ -93,14 +76,15 @@ impl WorkspacePool {
             // regions inline on a batch worker anyway; real rayon would
             // otherwise fan them out across the batch pool).
             slots: (0..slots.max(2)).map(|_| Mutex::new(Workspace::with_threads(1))).collect(),
-            overflow: Mutex::new(Vec::new()),
             pool,
         }
     }
+}
 
+impl WorkspacePool {
     /// The number of threads batch solves against this pool will use.
     pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or_else(rayon::current_num_threads, |p| p.current_num_threads())
+        self.pool.current_num_threads()
     }
 
     /// The number of reusable workspaces held (workers + 1: the submitting
@@ -109,30 +93,23 @@ impl WorkspacePool {
         self.slots.len()
     }
 
-    /// The owned thread pool, if any — the scheduler `serve` mode submits
-    /// its stealable job tasks to.
-    pub(crate) fn rayon_pool(&self) -> Option<&Arc<rayon::ThreadPool>> {
-        self.pool.as_ref()
+    /// The owned thread pool — the scheduler `serve` mode submits its
+    /// stealable job tasks to.
+    pub(crate) fn rayon_pool(&self) -> &rayon::ThreadPool {
+        &self.pool
     }
 
-    /// Run `op` in this pool's execution context: inside the owned pool
-    /// when there is one, in the ambient pool otherwise.
+    /// Run `op` inside this pool.
     pub fn run<R: Send>(&self, op: impl FnOnce() -> R + Send) -> R {
-        match &self.pool {
-            Some(pool) => pool.install(op),
-            None => op(),
-        }
+        self.pool.install(op)
     }
 
     /// Run `op` with an exclusive workspace: a free pool slot when one
-    /// exists, else a fresh temporary. With the pool the constructors
-    /// size (workers + 1 slots, each concurrent task holding at most
-    /// one), a slot is always free; the temporary covers an [`ambient`]
-    /// pool driven from a *larger* pool than it was built under — those
-    /// overflow solves allocate their own scratch instead of spinning or
-    /// blocking, trading reuse for progress.
-    ///
-    /// [`ambient`]: WorkspacePool::ambient
+    /// exists, else a fresh temporary. Workers + 1 slots, each concurrent
+    /// task holding at most one, keep a slot free for every task of this
+    /// pool; a caller driving it from more threads than that gets
+    /// temporaries, which allocate their own scratch instead of spinning
+    /// or blocking — trading reuse for progress.
     pub(crate) fn with_workspace<R>(&self, op: impl FnOnce(&mut Workspace) -> R) -> R {
         for slot in &self.slots {
             match slot.try_lock() {
@@ -144,13 +121,7 @@ impl WorkspacePool {
                 Err(TryLockError::WouldBlock) => {}
             }
         }
-        let mut ws = {
-            let mut cache = self.overflow.lock().unwrap_or_else(|p| p.into_inner());
-            cache.pop().unwrap_or_else(|| Workspace::with_threads(1))
-        };
-        let result = op(&mut ws);
-        self.overflow.lock().unwrap_or_else(|p| p.into_inner()).push(ws);
-        result
+        op(&mut Workspace::with_threads(1))
     }
 }
 
@@ -192,28 +163,16 @@ mod tests {
     }
 
     #[test]
-    fn ambient_pool_tracks_current_threads() {
-        let ambient = WorkspacePool::ambient();
-        assert_eq!(ambient.threads(), rayon::current_num_threads());
-    }
-
-    #[test]
-    fn ambient_pool_overflows_gracefully_under_a_larger_pool() {
-        // An ambient WorkspacePool sized under a small pool, then driven
-        // from a larger installed pool: overflow tasks fall back to
-        // temporary workspaces — every job completes, correctly, without
-        // livelock.
-        let instances: Vec<BipartiteGraph> =
-            (0..10).map(|k| crate::gen::erdos_renyi_square(300, 3.0, k)).collect();
-        let jobs: Vec<(&BipartiteGraph, u64)> = instances.iter().map(|g| (g, 3u64)).collect();
-        let small = WorkspacePool::ambient();
-        let big = rayon::ThreadPoolBuilder::new().num_threads(8).build().unwrap();
+    fn busy_slots_fall_back_to_a_temporary_workspace() {
+        // A 1-worker pool holds two slots; with both taken, a third solve
+        // gets a temporary workspace and still completes correctly.
+        let pool = Workspace::per_worker(1);
+        let g = crate::gen::erdos_renyi_square(300, 3.0, 1);
         let pipeline: Pipeline = "scale:sk:3,two".parse().unwrap();
-        let reports = big.install(|| pipeline.solve_batch(&jobs, &small));
-        assert_eq!(reports.len(), jobs.len());
-        for (k, (report, g)) in reports.iter().zip(&instances).enumerate() {
-            report.matching.verify(g).unwrap_or_else(|e| panic!("job {k}: {e}"));
-        }
+        let report = pool.with_workspace(|_| {
+            pool.with_workspace(|_| pool.with_workspace(|ws| pipeline.solve(&g, ws)))
+        });
+        report.matching.verify(&g).unwrap();
     }
 
     #[test]

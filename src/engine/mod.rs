@@ -83,4 +83,6 @@ pub use report::{SolveReport, StageReport};
 pub use serve::serve_unix_socket;
 pub use serve::{parse_gen_spec, serve, ServeOptions, ServeSummary};
 pub use spec::{SpecError, StageKind};
+#[doc(hidden)]
+pub use workspace::test_timeout;
 pub use workspace::{observed_parallelism, Workspace};

@@ -25,14 +25,10 @@ use super::spec::{SpecError, StageKind};
 use super::workspace::Workspace;
 
 /// A solver: anything that maps a graph (plus reusable workspace) to an
-/// instrumented matching. Implemented by [`Pipeline`] and, for single-stage
-/// convenience, by [`AlgorithmKind`].
+/// instrumented matching. Implemented by [`Pipeline`].
 pub trait Solver {
     /// Solve `g`, reusing the scratch buffers in `ws`.
     fn solve(&self, g: &BipartiteGraph, ws: &mut Workspace) -> SolveReport;
-
-    /// Human/spec-readable description of this solver.
-    fn describe(&self) -> String;
 }
 
 /// Which doubly-stochastic scaling iteration a `scale` stage runs.
@@ -321,42 +317,41 @@ impl std::fmt::Display for Pipeline {
     }
 }
 
-/// Work counters one algorithm/augment stage reports (beyond its matching):
-/// the per-stage half of a [`StageReport`].
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct StageCounters {
-    /// Augmenting paths applied (exact engines that count them).
-    pub augmentations: Option<usize>,
-    /// Search phases executed, including the final certifying phase
-    /// (Hopcroft–Karp and the tree-grafting Pothen–Fan variants).
-    pub phases: Option<usize>,
-    /// The concrete engine an [`AlgorithmKind::Auto`] stage picked.
-    pub selected: Option<AlgorithmKind>,
+/// Time one matching stage and fill in its report's label, seconds and
+/// cardinality; `run` supplies the matching and the stage's counters. The
+/// workload stage, the pipeline's `augment:` finisher and serve's `delta:`
+/// re-solve all report through here.
+pub(crate) fn timed_stage(
+    label: String,
+    run: impl FnOnce() -> Result<(Matching, StageReport), Cancelled>,
+) -> Result<(Matching, StageReport), Cancelled> {
+    let t0 = Instant::now();
+    let (matching, stage) = run()?;
+    let seconds = t0.elapsed().as_secs_f64();
+    let cardinality = Some(matching.cardinality());
+    Ok((matching, StageReport { stage: label, seconds, cardinality, ..stage }))
 }
 
 /// Run the algorithm stage, sampling from the workspace's current factors.
+/// Heuristics report no counters; exact algorithms report their engine's.
 fn run_algorithm(
     algo: AlgorithmKind,
     g: &BipartiteGraph,
     seed: u64,
     ws: &mut Workspace,
     token: &CancelToken,
-) -> Result<(Matching, StageCounters), Cancelled> {
-    let heuristic = StageCounters::default();
-    Ok(match algo {
-        AlgorithmKind::OneSided => {
-            (one_sided_match_ws(g, &ws.scaling, seed, &mut ws.heur), heuristic)
-        }
+) -> Result<(Matching, StageReport), Cancelled> {
+    let matching = match algo {
+        AlgorithmKind::OneSided => one_sided_match_ws(g, &ws.scaling, seed, &mut ws.heur),
         AlgorithmKind::TwoSided | AlgorithmKind::KarpSipserMt => {
-            (two_sided_match_cancel_ws(g, &ws.scaling, seed, &mut ws.heur, token)?, heuristic)
+            two_sided_match_cancel_ws(g, &ws.scaling, seed, &mut ws.heur, token)?
         }
-        AlgorithmKind::OneOutUndirected => (one_out_bipartite(g, seed, ws), heuristic),
-        AlgorithmKind::KarpSipser => (
-            karp_sipser_cancel_ws(g, &KarpSipserConfig { seed }, &mut ws.heur.ks, token)?.matching,
-            heuristic,
-        ),
-        AlgorithmKind::CheapEdge => (cheap_random_edge(g, seed), heuristic),
-        AlgorithmKind::CheapVertex => (cheap_random_vertex(g, seed), heuristic),
+        AlgorithmKind::OneOutUndirected => one_out_bipartite(g, seed, ws),
+        AlgorithmKind::KarpSipser => {
+            karp_sipser_cancel_ws(g, &KarpSipserConfig { seed }, &mut ws.heur.ks, token)?.matching
+        }
+        AlgorithmKind::CheapEdge => cheap_random_edge(g, seed),
+        AlgorithmKind::CheapVertex => cheap_random_vertex(g, seed),
         AlgorithmKind::HopcroftKarp
         | AlgorithmKind::PothenFan
         | AlgorithmKind::PushRelabel
@@ -364,13 +359,16 @@ fn run_algorithm(
         | AlgorithmKind::HopcroftKarpPar
         | AlgorithmKind::PothenFanPar
         | AlgorithmKind::PothenFanGraft
-        | AlgorithmKind::Auto => run_augment(algo, g, None, ws, token)?,
-    })
+        | AlgorithmKind::Auto => return run_augment(algo, g, None, ws, token),
+    };
+    Ok((matching, StageReport::default()))
 }
 
-/// Feed `initial` into the exact finisher `algo` (`None`: solve cold).
-/// Shared by the pipeline's augment stage, the exact algorithm stages
-/// above, and the `serve` daemon's warm delta re-solves.
+/// Feed `initial` into the exact finisher `algo` (`None`: solve cold) and
+/// return the matching with the engine's work counters (augmentations,
+/// phases, and for `auto` the engine it selected) in an otherwise empty
+/// stage report. Shared by the pipeline's augment stage, the exact
+/// algorithm stages above, and the `serve` daemon's warm delta re-solves.
 ///
 /// The token reaches the phase/epoch loops of the cancellable finishers
 /// (`hk-par`, `pf-par`, `pf-graft`, `pr`) and the periodic polls inside
@@ -382,89 +380,48 @@ pub(crate) fn run_augment(
     initial: Option<Matching>,
     ws: &mut Workspace,
     token: &CancelToken,
-) -> Result<(Matching, StageCounters), Cancelled> {
+) -> Result<(Matching, StageReport), Cancelled> {
+    let counted = |augmentations, phases| StageReport {
+        augmentations: Some(augmentations),
+        phases,
+        ..StageReport::default()
+    };
+    let cold = || Matching::new(g.nrows(), g.ncols());
     Ok(match algo {
         AlgorithmKind::HopcroftKarp => {
-            let (m, stats) = hopcroft_karp_cancel_ws(g, initial.as_ref(), &mut ws.augment, token)?;
-            (
-                m,
-                StageCounters {
-                    augmentations: Some(stats.augmentations),
-                    phases: Some(stats.phases),
-                    ..StageCounters::default()
-                },
-            )
+            let (m, s) = hopcroft_karp_cancel_ws(g, initial.as_ref(), &mut ws.augment, token)?;
+            (m, counted(s.augmentations, Some(s.phases)))
         }
         AlgorithmKind::PothenFan => {
-            let (m, stats) = pothen_fan_cancel_ws(g, initial.as_ref(), &mut ws.augment, token)?;
-            (
-                m,
-                StageCounters {
-                    augmentations: Some(stats.augmentations),
-                    ..StageCounters::default()
-                },
-            )
+            let (m, s) = pothen_fan_cancel_ws(g, initial.as_ref(), &mut ws.augment, token)?;
+            (m, counted(s.augmentations, None))
         }
         AlgorithmKind::PushRelabel => {
-            let (m, _) = push_relabel_cancel(
-                g,
-                initial.unwrap_or_else(|| Matching::new(g.nrows(), g.ncols())),
-                token,
-            )?;
-            (m, StageCounters::default())
+            (push_relabel_cancel(g, initial.unwrap_or_else(cold), token)?.0, StageReport::default())
         }
         AlgorithmKind::BfsAugment => {
-            let (m, stats) =
-                bfs_augment_from(g, initial.unwrap_or_else(|| Matching::new(g.nrows(), g.ncols())));
-            (
-                m,
-                StageCounters {
-                    augmentations: Some(stats.augmentations),
-                    ..StageCounters::default()
-                },
-            )
+            let (m, s) = bfs_augment_from(g, initial.unwrap_or_else(cold));
+            (m, counted(s.augmentations, None))
         }
         AlgorithmKind::HopcroftKarpPar => {
-            let (m, stats) = hopcroft_karp_par_cancel(g, initial.as_ref(), &mut ws.augment, token)?;
-            (
-                m,
-                StageCounters {
-                    augmentations: Some(stats.augmentations),
-                    phases: Some(stats.phases),
-                    ..StageCounters::default()
-                },
-            )
+            let (m, s) = hopcroft_karp_par_cancel(g, initial.as_ref(), &mut ws.augment, token)?;
+            (m, counted(s.augmentations, Some(s.phases)))
         }
         AlgorithmKind::PothenFanPar => {
-            let (m, stats) = pothen_fan_par_cancel(g, initial.as_ref(), &mut ws.augment, token)?;
-            (
-                m,
-                StageCounters {
-                    augmentations: Some(stats.augmentations),
-                    phases: Some(stats.phases),
-                    ..StageCounters::default()
-                },
-            )
+            let (m, s) = pothen_fan_par_cancel(g, initial.as_ref(), &mut ws.augment, token)?;
+            (m, counted(s.augmentations, Some(s.phases)))
         }
         AlgorithmKind::PothenFanGraft => {
-            let (m, stats) = pothen_fan_graft_cancel(g, initial.as_ref(), &mut ws.augment, token)?;
-            (
-                m,
-                StageCounters {
-                    augmentations: Some(stats.augmentations),
-                    phases: Some(stats.phases),
-                    ..StageCounters::default()
-                },
-            )
+            let (m, s) = pothen_fan_graft_cancel(g, initial.as_ref(), &mut ws.augment, token)?;
+            (m, counted(s.augmentations, Some(s.phases)))
         }
         AlgorithmKind::Auto => {
             // Pick from instance statistics, run the pick, and surface the
             // decision so reports (and serve delta replies) can show it.
             let pick = super::registry::select_finisher(g);
             debug_assert!(pick.is_exact() && pick != AlgorithmKind::Auto);
-            let (m, mut counters) = run_augment(pick, g, initial, ws, token)?;
-            counters.selected = Some(pick);
-            (m, counters)
+            let (m, stage) = run_augment(pick, g, initial, ws, token)?;
+            (m, StageReport { selected: Some(pick.name().to_string()), ..stage })
         }
         other => unreachable!("{other} is not exact; rejected at parse/validation time"),
     })
@@ -508,10 +465,6 @@ impl Solver for Pipeline {
     fn solve(&self, g: &BipartiteGraph, ws: &mut Workspace) -> SolveReport {
         self.solve_cancel(g, ws, &CancelToken::unbounded()).expect("unbounded token never cancels")
     }
-
-    fn describe(&self) -> String {
-        self.spec()
-    }
 }
 
 impl Pipeline {
@@ -527,10 +480,7 @@ impl Pipeline {
         ws: &mut Workspace,
         token: &CancelToken,
     ) -> Result<SolveReport, Cancelled> {
-        match ws.pool().cloned() {
-            Some(pool) => pool.install(|| self.solve_stages(g, ws, token)),
-            None => self.solve_stages(g, ws, token),
-        }
+        ws.run(|ws| self.solve_stages(g, ws, token))
     }
 
     /// The stage driver behind [`Solver::solve`], running in whatever pool
@@ -560,11 +510,7 @@ impl Pipeline {
             stages.push(StageReport {
                 stage: stage.label(),
                 seconds: t0.elapsed().as_secs_f64(),
-                cardinality: None,
-                augmentations: None,
-                phases: None,
-                selected: None,
-                weight: None,
+                ..StageReport::default()
             });
             scaling_iterations = Some(ws.scaling.iterations);
             scaling_error = Some(ws.scaling.error);
@@ -574,59 +520,34 @@ impl Pipeline {
             ws.scaling.reset_identity(g);
         }
 
-        let t0 = Instant::now();
-        let (matching, counters, weight) = match &self.workload {
-            Workload::Cardinality(algo) => {
-                let (m, counters) = run_algorithm(*algo, g, self.seed, ws, token)?;
-                (m, counters, None)
-            }
+        let (matching, stage) = match &self.workload {
+            Workload::Cardinality(algo) => timed_stage(algo.name().to_string(), || {
+                run_algorithm(*algo, g, self.seed, ws, token)
+            })?,
             Workload::Weighted(kind) => {
-                let (m, weight) = run_weighted(*kind, g, ws, token)?;
-                (m, StageCounters::default(), Some(weight))
+                timed_stage(kind.name().to_string(), || run_weighted(*kind, g, ws, token))?
             }
             Workload::Decompose(_) => unreachable!("handled above"),
         };
-        stages.push(StageReport {
-            stage: match &self.workload {
-                Workload::Cardinality(a) => a.name().to_string(),
-                Workload::Weighted(w) => w.name().to_string(),
-                Workload::Decompose(_) => unreachable!("handled above"),
-            },
-            seconds: t0.elapsed().as_secs_f64(),
-            cardinality: Some(matching.cardinality()),
-            augmentations: counters.augmentations,
-            phases: counters.phases,
-            selected: counters.selected.map(|k| k.name().to_string()),
-            weight,
-        });
+        let weight = stage.weight;
+        stages.push(stage);
 
-        let matching = if let Some(finisher) = self.augment {
-            let t0 = Instant::now();
-            let (m, counters) = run_augment(finisher, g, Some(matching), ws, token)?;
-            stages.push(StageReport {
-                stage: format!("augment:{finisher}"),
-                seconds: t0.elapsed().as_secs_f64(),
-                cardinality: Some(m.cardinality()),
-                augmentations: counters.augmentations,
-                phases: counters.phases,
-                selected: counters.selected.map(|k| k.name().to_string()),
-                weight: None,
-            });
-            m
-        } else {
-            matching
+        let matching = match self.augment {
+            Some(finisher) => {
+                let (m, stage) = timed_stage(format!("augment:{finisher}"), || {
+                    run_augment(finisher, g, Some(matching), ws, token)
+                })?;
+                stages.push(stage);
+                m
+            }
+            None => matching,
         };
 
-        Ok(SolveReport {
-            matching,
-            stages,
-            scaling_iterations,
-            scaling_error,
-            quality: None,
-            cancelled: false,
-            deadline_ms: None,
-            weight,
-        })
+        let mut report = SolveReport::new(matching, stages);
+        report.scaling_iterations = scaling_iterations;
+        report.scaling_error = scaling_error;
+        report.weight = weight;
+        Ok(report)
     }
 
     /// Solve a `dm,<inner>` workload: coarse + fine Dulmage–Mendelsohn
@@ -654,10 +575,8 @@ impl Pipeline {
             stage: "dm".to_string(),
             seconds: t0.elapsed().as_secs_f64(),
             cardinality: Some(dm.sprank()),
-            augmentations: None,
             phases: Some(fine.block_count),
-            selected: None,
-            weight: None,
+            ..StageReport::default()
         }];
 
         // Mates start from the coarse matching: horizontal/vertical
@@ -753,10 +672,8 @@ impl Pipeline {
                     stage: format!("dm[{b}]:{}", inner.spec()),
                     seconds: report.total_seconds(),
                     cardinality: Some(report.cardinality()),
-                    augmentations: None,
-                    phases: None,
-                    selected: None,
                     weight: report.weight,
+                    ..StageReport::default()
                 });
             }
         } else {
@@ -764,23 +681,11 @@ impl Pipeline {
                 stage: format!("dm[{} blocks]:{}", reports.len(), inner.spec()),
                 seconds: t1.elapsed().as_secs_f64(),
                 cardinality: Some(reports.iter().map(|(_, r)| r.cardinality()).sum()),
-                augmentations: None,
-                phases: None,
-                selected: None,
-                weight: None,
+                ..StageReport::default()
             });
         }
 
-        Ok(SolveReport {
-            matching: Matching::from_mates(rmate, cmate),
-            stages,
-            scaling_iterations: None,
-            scaling_error: None,
-            quality: None,
-            cancelled: false,
-            deadline_ms: None,
-            weight: None,
-        })
+        Ok(SolveReport::new(Matching::from_mates(rmate, cmate), stages))
     }
 }
 
@@ -790,13 +695,14 @@ impl Pipeline {
 /// so the weighted heuristics chase exactly the edges scaling considers
 /// likely), the bipartite instance becomes one undirected graph over
 /// rows-then-columns, and the selected heuristic matches it. Returns the
-/// matching translated back to bipartite mates plus its total weight.
+/// matching translated back to bipartite mates, with its total weight in
+/// an otherwise empty stage report.
 fn run_weighted(
     kind: WeightedKind,
     g: &BipartiteGraph,
     ws: &mut Workspace,
     token: &CancelToken,
-) -> Result<(Matching, f64), Cancelled> {
+) -> Result<(Matching, StageReport), Cancelled> {
     token.check()?;
     let n_r = g.nrows();
     let Workspace { scaling, weighted_edges, .. } = ws;
@@ -825,19 +731,7 @@ fn run_weighted(
         debug_assert!(u < n_r && v >= n_r, "bipartite edges cross sides");
         matching.set(u, v - n_r);
     }
-    Ok((matching, weight))
-}
-
-impl Solver for AlgorithmKind {
-    /// Single-stage solve with the default seed — equivalent to
-    /// [`Pipeline::bare`]. Use a [`Pipeline`] to control seed and stages.
-    fn solve(&self, g: &BipartiteGraph, ws: &mut Workspace) -> SolveReport {
-        Pipeline::bare(*self).solve(g, ws)
-    }
-
-    fn describe(&self) -> String {
-        self.name().to_string()
-    }
+    Ok((matching, StageReport { weight: Some(weight), ..StageReport::default() }))
 }
 
 #[cfg(test)]

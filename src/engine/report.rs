@@ -5,7 +5,7 @@ use dsmatch_graph::Matching;
 use dsmatch_json::Json;
 
 /// Timing and outcome of one pipeline stage.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StageReport {
     /// Stage label in spec grammar (`"scale:sk:5"`, `"two"`, `"augment:pf"`).
     pub stage: String,
@@ -44,11 +44,6 @@ pub struct SolveReport {
     /// Quality ratio against the exact optimum; filled by
     /// [`SolveReport::set_quality`] when the caller requests it.
     pub quality: Option<f64>,
-    /// True when the solve was cut short by cooperative cancellation
-    /// (deadline or explicit cancel). A successful solve always reports
-    /// `false`; cancelled serve jobs surface this flag on their structured
-    /// `"deadline"` error reply instead of a full report.
-    pub cancelled: bool,
     /// The deadline budget the job ran under, in milliseconds (`None`:
     /// no deadline). Recorded even on success so clients can correlate
     /// observed latency with the budget they requested.
@@ -61,6 +56,20 @@ pub struct SolveReport {
 }
 
 impl SolveReport {
+    /// A report of `matching` after `stages`, with no scaling, quality,
+    /// deadline or weight recorded yet.
+    pub(crate) fn new(matching: Matching, stages: Vec<StageReport>) -> Self {
+        Self {
+            matching,
+            stages,
+            scaling_iterations: None,
+            scaling_error: None,
+            quality: None,
+            deadline_ms: None,
+            weight: None,
+        }
+    }
+
     /// Cardinality of the final matching.
     pub fn cardinality(&self) -> usize {
         self.matching.cardinality()
@@ -101,7 +110,6 @@ impl SolveReport {
             ("scaling_iterations", Json::opt(self.scaling_iterations)),
             ("scaling_error", Json::opt(self.scaling_error)),
             ("quality", Json::opt(self.quality)),
-            ("cancelled", Json::from(self.cancelled)),
             ("deadline_ms", Json::opt(self.deadline_ms)),
             ("weight", Json::opt(self.weight)),
         ])
@@ -114,31 +122,26 @@ mod tests {
 
     #[test]
     fn json_shape() {
-        let report = SolveReport {
-            matching: Matching::new(2, 2),
-            stages: vec![StageReport {
-                stage: "two".into(),
-                seconds: 0.5,
-                cardinality: Some(0),
-                augmentations: None,
-                phases: Some(3),
-                selected: Some("pr".into()),
-                weight: None,
-            }],
-            scaling_iterations: Some(5),
-            scaling_error: Some(1e-3),
-            quality: None,
-            cancelled: false,
-            deadline_ms: Some(250),
-            weight: Some(1.5),
+        let stage = StageReport {
+            stage: "two".into(),
+            seconds: 0.5,
+            cardinality: Some(0),
+            phases: Some(3),
+            selected: Some("pr".into()),
+            ..StageReport::default()
         };
+        let mut report = SolveReport::new(Matching::new(2, 2), vec![stage]);
+        report.scaling_iterations = Some(5);
+        report.scaling_error = Some(1e-3);
+        report.deadline_ms = Some(250);
+        report.weight = Some(1.5);
         let s = report.to_json().to_string();
         assert!(s.contains("\"stages\":[{\"stage\":\"two\""), "{s}");
         assert!(s.contains("\"phases\":3"), "{s}");
         assert!(s.contains("\"selected\":\"pr\""), "{s}");
         assert!(s.contains("\"scaling_iterations\":5"), "{s}");
         assert!(s.contains("\"quality\":null"), "{s}");
-        assert!(s.contains("\"cancelled\":false"), "{s}");
+        assert!(!s.contains("cancelled"), "successful reports carry no cancelled flag: {s}");
         assert!(s.contains("\"deadline_ms\":250"), "{s}");
         assert!(s.contains("\"weight\":1.5"), "{s}");
         assert_eq!(report.total_seconds(), 0.5);

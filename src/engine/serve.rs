@@ -116,9 +116,9 @@ use dsmatch_json::{parse_json, Json};
 
 use super::batch::WorkspacePool;
 use super::faults;
-use super::pipeline::{run_augment, Pipeline};
+use super::pipeline::{run_augment, timed_stage, Pipeline};
 use super::registry::AlgorithmKind;
-use super::report::{SolveReport, StageReport};
+use super::report::SolveReport;
 use super::workspace::{observed_parallelism, Workspace};
 
 /// Error codes carried by `"ok":false` replies, stable for clients.
@@ -935,46 +935,22 @@ fn execute_delta(
         Matching::from_mates(rmate, cmate)
     });
 
-    let t0 = Instant::now();
-    let mutated_ref = &mutated;
-    let token = &ctx.token;
-    let finished = core.pool.with_workspace(|ws| {
-        let slot_pool = ws.pool().cloned();
-        let run =
-            move |ws: &mut Workspace| run_augment(job.finisher, mutated_ref, initial, ws, token);
-        match slot_pool {
-            Some(p) => p.install(|| run(ws)),
-            None => run(ws),
-        }
+    let finished = timed_stage(format!("delta:{}", job.finisher), || {
+        core.pool.with_workspace(|ws| {
+            ws.run(|ws| run_augment(job.finisher, &mutated, initial, ws, &ctx.token))
+        })
     });
-    let seconds = t0.elapsed().as_secs_f64();
     // On cancellation the cached handle state is left exactly as it was:
     // the delta never happened, and the workspace stays reusable.
-    let Ok((matching, counters)) = finished else {
+    let Ok((matching, stage)) = finished else {
         return Err(ctx.deadline_error());
     };
     matching
         .verify(&mutated)
         .map_err(|e| (code::INTERNAL, format!("produced an invalid matching: {e}")))?;
 
-    let mut report = SolveReport {
-        stages: vec![StageReport {
-            stage: format!("delta:{}", job.finisher),
-            seconds,
-            cardinality: Some(matching.cardinality()),
-            augmentations: counters.augmentations,
-            phases: counters.phases,
-            selected: counters.selected.map(|k| k.name().to_string()),
-            weight: None,
-        }],
-        scaling_iterations: None,
-        scaling_error: None,
-        quality: None,
-        cancelled: false,
-        deadline_ms: ctx.deadline_ms,
-        weight: None,
-        matching,
-    };
+    let mut report = SolveReport::new(matching, vec![stage]);
+    report.deadline_ms = ctx.deadline_ms;
     if job.quality {
         report.set_quality(sprank(&mutated));
     }
@@ -1493,10 +1469,7 @@ where
     // The connection loop runs as a scope body on this thread; workers
     // drain jobs concurrently. The scope joins any task still running
     // here (e.g. a cross-connection successor) after the drain.
-    let client_shutdown = match core.pool.rayon_pool().cloned() {
-        Some(pool) => pool.scope(|s| conn_loop(&conn, s, &rx, &mut out)),
-        None => rayon::scope(|s| conn_loop(&conn, s, &rx, &mut out)),
-    };
+    let client_shutdown = core.pool.rayon_pool().scope(|s| conn_loop(&conn, s, &rx, &mut out));
     let summary = conn.summary(client_shutdown);
     out.event(&Json::obj(vec![
         ("event", Json::from("shutdown")),

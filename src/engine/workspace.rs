@@ -3,7 +3,6 @@
 
 use dsmatch_core::HeurWorkspace;
 use dsmatch_exact::AugmentWorkspace;
-use dsmatch_graph::BipartiteGraph;
 use dsmatch_scale::ScalingResult;
 use std::sync::Arc;
 
@@ -87,19 +86,13 @@ impl Workspace {
         self.pool.as_ref()
     }
 
-    /// Run `op` in this workspace's execution context: inside the owned
-    /// pool when there is one, in the ambient pool otherwise.
-    pub fn run<R: Send>(&self, op: impl FnOnce() -> R + Send) -> R {
-        match &self.pool {
-            Some(pool) => pool.install(op),
-            None => op(),
+    /// Run `op` on this workspace in its execution context: inside the
+    /// owned pool when there is one, in the ambient pool otherwise.
+    pub fn run<R: Send>(&mut self, op: impl FnOnce(&mut Self) -> R + Send) -> R {
+        match self.pool.clone() {
+            Some(pool) => pool.install(|| op(self)),
+            None => op(self),
         }
-    }
-
-    /// Pre-size the workspace for `g` by resetting the scaling factors to
-    /// the identity. Optional — solving grows buffers on demand anyway.
-    pub fn warm_up(&mut self, g: &BipartiteGraph) {
-        self.scaling.reset_identity(g);
     }
 
     /// The workspace pool backing `dm,` decomposition solves, built on
@@ -123,20 +116,25 @@ impl Default for Workspace {
     }
 }
 
-/// Bound on how long [`observed_parallelism`]'s rendezvous (and the
-/// repo's other scheduler-probing waits) may block: the
+/// Bound on how long [`observed_parallelism`]'s rendezvous and the
+/// integration suites' harness waits may block: the
 /// `DSMATCH_TEST_TIMEOUT_SECS` environment variable when set to a positive
 /// integer, else `default_secs`. Loaded CI runners can stall a worker far
 /// past laptop-scale deadlines, so the CI workflow raises the knob rather
 /// than every call site hard-coding its own guess. The rayon shim's
 /// scheduler tests read the same variable (duplicated there, not shared:
 /// the `real-rayon` CI leg compiles the workspace without the shim).
-pub(crate) fn test_timeout(default_secs: u64) -> std::time::Duration {
-    let secs = std::env::var("DSMATCH_TEST_TIMEOUT_SECS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(default_secs);
+#[doc(hidden)]
+pub fn test_timeout(default_secs: u64) -> std::time::Duration {
+    timeout_from(std::env::var("DSMATCH_TEST_TIMEOUT_SECS").ok().as_deref(), default_secs)
+}
+
+/// [`test_timeout`]'s rule for the knob's raw `value`: a positive integer,
+/// surrounding whitespace allowed, overrides `default_secs`; unset, `0`
+/// and anything unparsable leave the default.
+fn timeout_from(value: Option<&str>, default_secs: u64) -> std::time::Duration {
+    let secs =
+        value.and_then(|v| v.trim().parse::<u64>().ok()).filter(|&s| s > 0).unwrap_or(default_secs);
     std::time::Duration::from_secs(secs)
 }
 
@@ -211,9 +209,9 @@ mod tests {
 
     #[test]
     fn workspace_pool_controls_thread_count() {
-        let ws = Workspace::with_threads(3);
+        let mut ws = Workspace::with_threads(3);
         assert_eq!(ws.threads(), 3);
-        assert_eq!(ws.run(rayon::current_num_threads), 3);
+        assert_eq!(ws.run(|_| rayon::current_num_threads()), 3);
         let ambient = Workspace::new();
         assert_eq!(ambient.threads(), rayon::current_num_threads());
     }
@@ -224,8 +222,8 @@ mod tests {
         // worker executes exactly one probe task (own-deque placement), so
         // the count must equal the pool size even under scheduling skew.
         for t in [1usize, 2, 4, 8] {
-            let ws = Workspace::with_threads(t);
-            assert_eq!(ws.run(observed_parallelism), t, "{t}-thread pool");
+            let mut ws = Workspace::with_threads(t);
+            assert_eq!(ws.run(|_| observed_parallelism()), t, "{t}-thread pool");
         }
     }
 
@@ -233,8 +231,8 @@ mod tests {
     fn observed_parallelism_from_worker_context_reports_inline() {
         // Nested regions on a pool worker run inline; the probe must say
         // so instead of deadlocking on a barrier no one else will reach.
-        let ws = Workspace::with_threads(4);
-        let nested = ws.run(|| {
+        let mut ws = Workspace::with_threads(4);
+        let nested = ws.run(|_| {
             let slot = std::sync::Mutex::new(0usize);
             rayon::scope(|s| {
                 s.spawn(|_| {
@@ -245,5 +243,13 @@ mod tests {
             seen
         });
         assert_eq!(nested, 1);
+    }
+
+    #[test]
+    fn test_timeout_knob_needs_a_positive_integer() {
+        for unset in [None, Some("0"), Some(""), Some("abc"), Some("-5"), Some("1.5")] {
+            assert_eq!(timeout_from(unset, 7).as_secs(), 7, "{unset:?}");
+        }
+        assert_eq!(timeout_from(Some(" 30 "), 7).as_secs(), 30);
     }
 }

@@ -11,17 +11,9 @@
 //! Every spawn pins `DSMATCH_FAULTS` explicitly (set or removed), so the
 //! suite is immune to environment leakage between tests.
 
+use dsmatch::engine::test_timeout;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
-
-/// Harness timeout, widened on slow runners via DSMATCH_TEST_TIMEOUT_SECS.
-fn test_timeout(default_secs: u64) -> std::time::Duration {
-    let secs = std::env::var("DSMATCH_TEST_TIMEOUT_SECS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(default_secs);
-    std::time::Duration::from_secs(secs)
-}
 
 // ---------------------------------------------------------------------------
 // Helpers

@@ -201,13 +201,13 @@ fn reports_are_fully_instrumented() {
     assert!(json.contains("\"stages\":[{\"stage\":\"ks\""));
 }
 
-/// The `Solver` impl on `AlgorithmKind` is the single-stage pipeline.
+/// Every registered algorithm solves as a single-stage pipeline.
 #[test]
 fn algorithm_kind_solves_directly() {
     let g = dsmatch::gen::permutation(500, 3);
     let mut ws = Workspace::new();
     for a in AlgorithmKind::all() {
-        let report = a.solve(&g, &mut ws);
+        let report = Pipeline::bare(a).solve(&g, &mut ws);
         report.matching.verify(&g).unwrap();
         assert!(report.matching.is_perfect(), "{a} on a permutation");
         assert_eq!(report.stages.len(), 1);

@@ -314,6 +314,95 @@ fn finisher_pipelines_reach_the_optimum_across_pools() {
     }
 }
 
+/// FNV-1a over the little-endian bytes of `mates`: a stable fingerprint of
+/// a whole mate array.
+fn fnv1a(mates: &[u32]) -> u64 {
+    mates
+        .iter()
+        .flat_map(|m| m.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Golden outputs of the four level-synchronized finishers: the exact row
+/// mates (as an FNV-1a checksum) and work counters, solved cold and
+/// warm-started from a fixed `cheap` matching, on a uniform ER instance and
+/// an average-degree-2 one where `pf-par` needs many phases. Every other
+/// finisher test accepts any maximum, pool-invariant answer; this one also
+/// fails when a refactor moves a single mate or counter.
+#[test]
+fn finisher_mates_and_stats_are_pinned() {
+    use dsmatch::exact::{
+        hopcroft_karp_par_ws, hopcroft_karp_ws, pothen_fan_graft_ws, pothen_fan_par_ws,
+        AugmentWorkspace,
+    };
+    use dsmatch::heur::cheap_random_edge;
+
+    /// A finisher with its stats flattened to `[phases, visits, augmentations]`.
+    type Finish =
+        fn(&BipartiteGraph, Option<&Matching>, &mut AugmentWorkspace) -> (Matching, [usize; 3]);
+    let finishers: [(&str, Finish); 4] = [
+        ("hk", |g, init, ws| {
+            let (m, s) = hopcroft_karp_ws(g, init, ws);
+            (m, [s.phases, s.bfs_visits, s.augmentations])
+        }),
+        ("hk-par", |g, init, ws| {
+            let (m, s) = hopcroft_karp_par_ws(g, init, ws);
+            (m, [s.phases, s.bfs_visits, s.augmentations])
+        }),
+        ("pf-par", |g, init, ws| {
+            let (m, s) = pothen_fan_par_ws(g, init, ws);
+            (m, [s.phases, s.rows_visited, s.augmentations])
+        }),
+        ("pf-graft", |g, init, ws| {
+            let (m, s) = pothen_fan_graft_ws(g, init, ws);
+            (m, [s.phases, s.rows_visited, s.augmentations])
+        }),
+    ];
+    // (instance, finisher, warm, rmates checksum, [phases, visits, augmentations])
+    let expected: &[(&str, &str, bool, u64, [usize; 3])] = &[
+        ("er", "hk", false, 4903392283756655605, [10, 36390, 4885]),
+        ("er", "hk", true, 6796597585879255814, [9, 29908, 876]),
+        ("er", "hk-par", false, 4903392283756655605, [10, 36390, 4885]),
+        ("er", "hk-par", true, 6796597585879255814, [9, 29908, 876]),
+        ("er", "pf-par", false, 8980673614843797559, [21, 68971, 4885]),
+        ("er", "pf-par", true, 3226381634285603525, [20, 62666, 876]),
+        ("er", "pf-graft", false, 17709543671415737263, [6, 25494, 4885]),
+        ("er", "pf-graft", true, 6190890512746087477, [5, 20605, 876]),
+        ("deg2", "hk", false, 5023001426207653553, [9, 22774, 3891]),
+        ("deg2", "hk", true, 5306912702034575318, [8, 17923, 553]),
+        ("deg2", "hk-par", false, 5023001426207653553, [9, 22774, 3891]),
+        ("deg2", "hk-par", true, 5306912702034575318, [8, 17923, 553]),
+        ("deg2", "pf-par", false, 4766500676326913794, [14, 23991, 3891]),
+        ("deg2", "pf-par", true, 6869510917381508500, [14, 21113, 553]),
+        ("deg2", "pf-graft", false, 4422689055908093522, [5, 11361, 3891]),
+        ("deg2", "pf-graft", true, 11343028832631042846, [4, 7216, 553]),
+    ];
+
+    let instances = [
+        ("er", dsmatch::gen::erdos_renyi_square(5_000, 4.0, 41)),
+        ("deg2", dsmatch::gen::erdos_renyi_square(5_000, 2.0, 42)),
+    ];
+    let mut got = Vec::new();
+    for (name, g) in &instances {
+        let warm = cheap_random_edge(g, 7);
+        for (finisher, finish) in finishers {
+            for init in [None, Some(&warm)] {
+                let (m, stats) = pool(1).install(|| finish(g, init, &mut AugmentWorkspace::new()));
+                m.verify(g).unwrap();
+                let (m4, stats4) =
+                    pool(4).install(|| finish(g, init, &mut AugmentWorkspace::new()));
+                assert_eq!(m4.rmates(), m.rmates(), "{name}/{finisher} differs at 4 threads");
+                assert_eq!(stats4, stats, "{name}/{finisher} stats differ at 4 threads");
+                got.push((*name, finisher, init.is_some(), fnv1a(m.rmates()), stats));
+            }
+        }
+    }
+    if got != expected {
+        let table: String = got.iter().map(|row| format!("        {row:?},\n")).collect();
+        panic!("finisher outputs moved; observed:\n{table}");
+    }
+}
+
 /// `one_sided_match` under real pools: the matched-column set and the
 /// cardinality are a pure function of the seed; every schedule's matching
 /// is valid. (The winning row per column is a benign race by design.)

@@ -8,20 +8,11 @@
 //! a cold solve of the mutated instance while reporting **strictly fewer**
 //! augmentation phases.
 
-use dsmatch::engine::{serve, Json, ServeOptions};
+use dsmatch::engine::{serve, test_timeout, Json, ServeOptions};
 use dsmatch::exact::sprank;
 use dsmatch::graph::{BipartiteGraph, TripletMatrix};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-
-/// Harness timeout, widened on slow runners via DSMATCH_TEST_TIMEOUT_SECS.
-fn test_timeout(default_secs: u64) -> std::time::Duration {
-    let secs = std::env::var("DSMATCH_TEST_TIMEOUT_SECS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(default_secs);
-    std::time::Duration::from_secs(secs)
-}
 
 // ---------------------------------------------------------------------------
 // Engine-level helpers
