@@ -109,6 +109,36 @@ impl FaultPlan {
     pub fn faults(&self) -> &[Fault] {
         &self.faults
     }
+
+    /// Corrupt a rendered reply line if a `truncate-reply`/`garbage-reply`
+    /// fault targets the next reply ordinal. Replies are counted only
+    /// while such a fault exists; a truncation cuts back to the char
+    /// boundary at or below half the line.
+    pub fn corrupt_reply(&self, text: &mut String) {
+        if !self
+            .faults
+            .iter()
+            .any(|f| matches!(f, Fault::TruncateReply { .. } | Fault::GarbageReply { .. }))
+        {
+            return;
+        }
+        let nth = self.replies.fetch_add(1, Ordering::Relaxed) + 1;
+        for f in &self.faults {
+            match f {
+                Fault::TruncateReply { nth: n } if *n == nth => {
+                    let mut cut = text.len() / 2;
+                    while cut > 0 && !text.is_char_boundary(cut) {
+                        cut -= 1;
+                    }
+                    text.truncate(cut);
+                }
+                Fault::GarbageReply { nth: n } if *n == nth => {
+                    *text = "!garbage ".repeat(512);
+                }
+                _ => {}
+            }
+        }
+    }
 }
 
 fn parse_entry(entry: &str) -> Option<Fault> {
@@ -177,32 +207,12 @@ pub fn stall_if_due(stage: &str, job: u64) {
 }
 
 /// Corrupt a rendered reply line if a `truncate-reply`/`garbage-reply`
-/// fault targets the next reply ordinal. Counts every reply the daemon
-/// writes (inline and worker-produced alike).
+/// fault targets the next reply ordinal ([`FaultPlan::corrupt_reply`]).
+/// Counts every reply the daemon writes (inline and worker-produced
+/// alike).
 pub fn corrupt_reply(text: &mut String) {
-    let Some(p) = plan() else { return };
-    if !p
-        .faults
-        .iter()
-        .any(|f| matches!(f, Fault::TruncateReply { .. } | Fault::GarbageReply { .. }))
-    {
-        return;
-    }
-    let nth = p.replies.fetch_add(1, Ordering::Relaxed) + 1;
-    for f in &p.faults {
-        match f {
-            Fault::TruncateReply { nth: n } if *n == nth => {
-                let mut cut = text.len() / 2;
-                while cut > 0 && !text.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                text.truncate(cut);
-            }
-            Fault::GarbageReply { nth: n } if *n == nth => {
-                *text = "!garbage ".repeat(512);
-            }
-            _ => {}
-        }
+    if let Some(p) = plan() {
+        p.corrupt_reply(text);
     }
 }
 
@@ -259,22 +269,14 @@ mod tests {
 
     #[test]
     fn truncate_respects_char_boundaries() {
-        let p = FaultPlan { faults: vec![Fault::TruncateReply { nth: 1 }], ..Default::default() };
-        // Exercise the boundary logic directly (the global hooks read env).
-        let mut text = String::from("a≥b≥c≥d");
-        let nth = p.replies.fetch_add(1, Ordering::Relaxed) + 1;
-        for f in &p.faults {
-            if let Fault::TruncateReply { nth: n } = f {
-                if *n == nth {
-                    let mut cut = text.len() / 2;
-                    while cut > 0 && !text.is_char_boundary(cut) {
-                        cut -= 1;
-                    }
-                    text.truncate(cut);
-                }
-            }
-        }
-        assert!(text.len() < "a≥b≥c≥d".len());
-        assert!(std::str::from_utf8(text.as_bytes()).is_ok());
+        let p = FaultPlan::parse("truncate-reply:nth=1");
+        // 13 bytes: the midpoint 6 falls inside the second `≥`, so the
+        // cut backs off to the boundary before it.
+        let mut first = String::from("a≥b≥c≥d");
+        p.corrupt_reply(&mut first);
+        assert_eq!(first, "a≥b");
+        let mut second = String::from("a≥b≥c≥d");
+        p.corrupt_reply(&mut second);
+        assert_eq!(second, "a≥b≥c≥d", "only the targeted reply is cut");
     }
 }

@@ -28,9 +28,18 @@
 //! Instances are referenced three ways: a `gen:` spec (synthesized), an
 //! inline pattern (`{"nrows":N,"ncols":M,"edges":[[i,j],…]}`), or a
 //! `{"handle":"name"}` naming an instance a previous job `"store"`d in the
-//! daemon's cache. Each job carries its **own** pipeline spec — the
+//! daemon's cache. A `gen:er:<n>:<avg_degree>` spec needs
+//! `1 ≤ n < 2³²−1`, `0 < avg_degree ≤ n` (an n×n pattern has only n²
+//! cells) and at most `isize::MAX / 8` edge draws (`n · avg_degree`);
+//! inline dimensions share the size range. Anything else is an
+//! `"instance"` error. Each job carries its **own** pipeline spec — the
 //! Duff–Kaya–Uçar transversal methodology's per-instance algorithm choice,
 //! as a protocol.
+//!
+//! Every reply is built in one place: `"ok":true` replies carry the id,
+//! `ok`, the op and then the op's own fields (solve and delta replies end
+//! with the solve report and the optional `rmate`); `"ok":false` replies
+//! carry the id, `ok`, a stable error `code` and an `error` message.
 //!
 //! ## Concurrency & robustness
 //!
@@ -54,6 +63,10 @@
 //! malformed JSON, unknown algorithm, missing handle, even a solver panic —
 //! becomes an error reply; the daemon never dies on a bad job.
 //!
+//! A handle exists only once a job has `store`d an instance under it: a
+//! job naming a handle that no job stored leaves nothing behind, so a
+//! later `drop` of that name is a `"handle"` error.
+//!
 //! ## Deadlines & cancellation
 //!
 //! A job may carry `"deadline_ms"` (or inherit
@@ -68,7 +81,8 @@
 //!
 //! Clients can also pull the trigger themselves:
 //! `{"op":"cancel","job":<id>}` flips the [`CancelToken`] of the named
-//! in-flight (or still-queued) job on the same connection. The cancelled
+//! in-flight (or still-queued) job on the same connection; when several
+//! in-flight jobs share that id, it targets the newest. The cancelled
 //! job answers with the same `"deadline"`-coded, `"cancelled":true` reply
 //! shape (with `"deadline_ms":null` when it had no deadline); the `cancel`
 //! op itself is acknowledged inline, and cancelling an id that is not in
@@ -107,7 +121,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use dsmatch_exact::sprank;
@@ -128,7 +142,8 @@ mod code {
     pub const PARSE: &str = "parse";
     /// A pipeline/finisher spec error ([`SpecError`](crate::engine::SpecError) verbatim).
     pub const SPEC: &str = "spec";
-    /// A bad instance reference: `gen:` spec, or out-of-bounds inline/delta edges.
+    /// A bad instance reference: `gen:` spec, out-of-range inline
+    /// dimensions, or out-of-bounds inline/delta edges.
     pub const INSTANCE: &str = "instance";
     /// An unknown handle, or a handle with no cached instance.
     pub const HANDLE: &str = "handle";
@@ -202,20 +217,46 @@ pub struct ServeSummary {
     pub shutdown: bool,
 }
 
+/// The largest instance dimension: vertex ids are `u32`, and `u32::MAX`
+/// itself is the unmatched sentinel [`NIL`].
+const MAX_DIM: usize = u32::MAX as usize - 1;
+
 /// Synthesize an instance from the spec grammar shared by the CLI
 /// positional argument and the serve protocol's string instance refs:
 /// `er:<n>:<avg_degree>[:<seed>]` (the part after the `gen:` prefix).
+///
+/// Sizes outside `1..u32::MAX`, degrees above the size (an n×n pattern
+/// has only n² cells) and more than `isize::MAX / 8` edge draws (what one
+/// edge buffer can reserve) are errors, never panics.
 pub fn parse_gen_spec(spec: &str) -> Result<BipartiteGraph, String> {
     let usage = "expected gen:er:<n>:<avg_degree>[:<seed>]";
     match spec.split(':').collect::<Vec<_>>().as_slice() {
-        ["er", n, d, rest @ ..] => {
+        ["er", n, degree, rest @ ..] => {
             let n: usize = n.parse().map_err(|_| format!("bad size {n:?}; {usage}"))?;
             if n == 0 {
                 return Err(format!("size must be positive; {usage}"));
             }
-            let d: f64 = d.parse().map_err(|_| format!("bad degree {d:?}; {usage}"))?;
+            if n > MAX_DIM {
+                return Err(format!(
+                    "size {n} exceeds the largest supported size {MAX_DIM}; {usage}"
+                ));
+            }
+            let d: f64 = degree.parse().map_err(|_| format!("bad degree {degree:?}; {usage}"))?;
             if !d.is_finite() || d <= 0.0 {
                 return Err(format!("degree must be positive and finite; {usage}"));
+            }
+            if d > n as f64 {
+                return Err(format!(
+                    "degree {degree} exceeds the size {n}: an n×n pattern has only n² cells; {usage}"
+                ));
+            }
+            // The generator's own draw count, saturating like its cast.
+            let draws = (d * n as f64).round() as usize;
+            let max_draws = isize::MAX as usize / 8;
+            if draws > max_draws {
+                return Err(format!(
+                    "{draws} edge draws exceed the {max_draws} one instance can hold; {usage}"
+                ));
             }
             let seed: u64 = match rest {
                 [] => 1,
@@ -228,6 +269,12 @@ pub fn parse_gen_spec(spec: &str) -> Result<BipartiteGraph, String> {
     }
 }
 
+/// Poison-tolerant lock: a panicked job leaves shared state consistent
+/// (every critical section here is a few plain stores).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 // ---------------------------------------------------------------------------
 // Job model
 // ---------------------------------------------------------------------------
@@ -235,7 +282,7 @@ pub fn parse_gen_spec(spec: &str) -> Result<BipartiteGraph, String> {
 /// `(code, message)` for an error reply.
 type JobError = (&'static str, String);
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum InstanceRef {
     /// `"gen:er:…"` — synthesized on the worker.
     Gen(String),
@@ -245,7 +292,7 @@ enum InstanceRef {
     Handle(String),
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct SolveJob {
     pipeline: Pipeline,
     seed: u64,
@@ -255,7 +302,7 @@ struct SolveJob {
     mates: bool,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct DeltaJob {
     handle: String,
     add: Vec<(usize, usize)>,
@@ -265,7 +312,7 @@ struct DeltaJob {
     mates: bool,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Op {
     Solve(SolveJob),
     Delta(DeltaJob),
@@ -289,7 +336,7 @@ enum Op {
     Shutdown,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Job {
     id: Json,
     op: Op,
@@ -315,8 +362,10 @@ impl Job {
 
 /// Everything a worker needs beyond the job itself: the armed cancel
 /// token, the budget it encodes (for replies), and the daemon-global
-/// submission ordinal the fault plan keys on.
-#[derive(Clone, Debug)]
+/// submission ordinal the fault plan keys on. Shared with the
+/// connection's cancel registry, where the `Arc` identifies the job even
+/// when a client reuses its id.
+#[derive(Debug)]
 struct JobCtx {
     token: CancelToken,
     deadline_ms: Option<u64>,
@@ -335,188 +384,137 @@ impl JobCtx {
     }
 }
 
+/// The one reader of optional job fields: `None` when `key` is absent,
+/// its value as read by `get` when present, else a `parse` error saying
+/// what `key` must be.
+fn optional<'a, T>(
+    v: &'a Json,
+    key: &str,
+    must_be: &str,
+    get: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, JobError> {
+    let field = v
+        .get(key)
+        .map(|f| get(f).ok_or_else(|| (code::PARSE, format!("{key:?} must be {must_be}"))));
+    field.transpose()
+}
+
+fn non_empty(v: &Json) -> Option<&str> {
+    v.as_str().filter(|s| !s.is_empty())
+}
+
+fn required_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, JobError> {
+    let field = v.get(key).and_then(non_empty);
+    field.ok_or_else(|| (code::PARSE, format!("job needs a non-empty string {key:?} field")))
+}
+
 fn parse_edge_list(v: &Json, key: &str) -> Result<Vec<(usize, usize)>, JobError> {
-    let Some(field) = v.get(key) else { return Ok(Vec::new()) };
-    let items = field
-        .as_arr()
-        .ok_or_else(|| (code::PARSE, format!("{key:?} must be an array of [row,col] pairs")))?;
+    let items = optional(v, key, "an array of [row,col] pairs", Json::as_arr)?.unwrap_or_default();
     let mut edges = Vec::with_capacity(items.len());
     for item in items {
         let pair = item.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
             (code::PARSE, format!("{key:?} entries must be [row,col] pairs, got {item}"))
         })?;
-        let (i, j) = (pair[0].as_usize(), pair[1].as_usize());
-        match (i, j) {
+        match (pair[0].as_usize(), pair[1].as_usize()) {
             (Some(i), Some(j)) => edges.push((i, j)),
             _ => {
-                return Err((
-                    code::PARSE,
-                    format!("{key:?} entries must be non-negative integers, got {item}"),
-                ))
+                let message = format!("{key:?} entries must be non-negative integers, got {item}");
+                return Err((code::PARSE, message));
             }
         }
     }
     Ok(edges)
 }
 
-fn required_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, JobError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .filter(|s| !s.is_empty())
-        .ok_or_else(|| (code::PARSE, format!("job needs a non-empty string {key:?} field")))
-}
-
-fn optional_bool(v: &Json, key: &str) -> Result<bool, JobError> {
-    match v.get(key) {
-        None => Ok(false),
-        Some(b) => b.as_bool().ok_or_else(|| (code::PARSE, format!("{key:?} must be a boolean"))),
-    }
-}
-
 fn parse_instance_ref(v: &Json) -> Result<InstanceRef, JobError> {
-    let field = v.get("instance").ok_or_else(|| {
-        (
-            code::PARSE,
-            "solve job needs an \"instance\": a \"gen:…\" spec, \
-         {\"handle\":…}, or {\"nrows\",\"ncols\",\"edges\"}"
-                .to_string(),
-        )
-    })?;
+    let expected = "a \"gen:…\" spec, {\"handle\":…}, or {\"nrows\",\"ncols\",\"edges\"}";
+    let field = v
+        .get("instance")
+        .ok_or_else(|| (code::PARSE, format!("solve job needs an \"instance\": {expected}")))?;
     if let Some(s) = field.as_str() {
-        let Some(spec) = s.strip_prefix("gen:") else {
-            return Err((
-                code::PARSE,
-                format!("string instance refs must be \"gen:…\" specs, got {s:?}"),
-            ));
-        };
+        let spec = s.strip_prefix("gen:").ok_or_else(|| {
+            (code::PARSE, format!("string instance refs must be \"gen:…\" specs, got {s:?}"))
+        })?;
         return Ok(InstanceRef::Gen(spec.to_string()));
     }
-    if let Some(h) = field.get("handle") {
-        let h = h
-            .as_str()
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| (code::PARSE, "\"handle\" must be a non-empty string".to_string()))?;
+    if let Some(h) = optional(field, "handle", "a non-empty string", non_empty)? {
         return Ok(InstanceRef::Handle(h.to_string()));
     }
     let dims =
         (field.get("nrows").and_then(Json::as_usize), field.get("ncols").and_then(Json::as_usize));
-    if let (Some(nrows), Some(ncols)) = dims {
-        let edges = parse_edge_list(field, "edges")?;
-        return Ok(InstanceRef::Inline { nrows, ncols, edges });
+    match dims {
+        (Some(nrows), Some(ncols)) => {
+            Ok(InstanceRef::Inline { nrows, ncols, edges: parse_edge_list(field, "edges")? })
+        }
+        _ => Err((code::PARSE, format!("unsupported instance ref {field}; expected {expected}"))),
     }
-    Err((
-        code::PARSE,
-        format!("unsupported instance ref {field}; expected a \"gen:…\" spec, {{\"handle\":…}}, or {{\"nrows\",\"ncols\",\"edges\"}}"),
-    ))
 }
 
-fn parse_job(v: &Json) -> Result<Job, (Json, JobError)> {
-    let id = match v.get("id") {
-        Some(id) => id.clone(),
-        None => {
-            return Err((
-                Json::Null,
-                (code::PARSE, "job has no \"id\"; replies are tagged with it".to_string()),
-            ))
-        }
-    };
-    let fail = |e: JobError| (id.clone(), e);
-    let op_name = match v.get("op") {
-        None => "solve",
-        Some(op) => {
-            op.as_str().ok_or_else(|| fail((code::PARSE, "\"op\" must be a string".to_string())))?
-        }
-    };
-    let seed = match v.get("seed") {
-        None => 1,
-        Some(s) => s
-            .as_u64()
-            .ok_or_else(|| fail((code::PARSE, "\"seed\" must be a non-negative integer".into())))?,
-    };
-    let deadline_ms = match v.get("deadline_ms") {
-        None => None,
-        Some(d) => Some(d.as_u64().ok_or_else(|| {
-            fail((code::PARSE, "\"deadline_ms\" must be a non-negative integer".into()))
-        })?),
-    };
-    let op = match op_name {
-        "solve" => {
-            let spec = required_str(v, "pipeline").map_err(fail)?;
-            let pipeline: Pipeline =
-                spec.parse().map_err(|e| fail((code::SPEC, format!("{e}"))))?;
-            let instance = parse_instance_ref(v).map_err(fail)?;
-            let store = match v.get("store") {
-                None => None,
-                Some(s) => Some(
-                    s.as_str()
-                        .filter(|h| !h.is_empty())
-                        .ok_or_else(|| {
-                            fail((code::PARSE, "\"store\" must be a non-empty string".into()))
-                        })?
-                        .to_string(),
-                ),
-            };
-            Op::Solve(SolveJob {
-                pipeline,
-                seed,
-                instance,
-                store,
-                quality: optional_bool(v, "quality").map_err(fail)?,
-                mates: optional_bool(v, "mates").map_err(fail)?,
-            })
-        }
+/// Parse the job with id `id`. Fields are checked in a fixed order (op,
+/// seed, deadline, then the op's own fields), so a line with several
+/// faults always reports the same one.
+fn parse_job(v: &Json, id: &Json) -> Result<Job, JobError> {
+    let op = optional(v, "op", "a string", Json::as_str)?.unwrap_or("solve");
+    let seed = optional(v, "seed", "a non-negative integer", Json::as_u64)?.unwrap_or(1);
+    let deadline_ms = optional(v, "deadline_ms", "a non-negative integer", Json::as_u64)?;
+    let flag = |key: &str| optional(v, key, "a boolean", Json::as_bool).map(|b| b.unwrap_or(false));
+    let spec_error = |e: &dyn std::fmt::Display| (code::SPEC, e.to_string());
+    let op = match op {
+        "solve" => Op::Solve(SolveJob {
+            pipeline: required_str(v, "pipeline")?.parse().map_err(|e| spec_error(&e))?,
+            seed,
+            instance: parse_instance_ref(v)?,
+            store: optional(v, "store", "a non-empty string", non_empty)?.map(str::to_string),
+            quality: flag("quality")?,
+            mates: flag("mates")?,
+        }),
         "delta" => {
-            let handle = required_str(v, "handle").map_err(fail)?.to_string();
-            let finisher = match v.get("finisher") {
+            let handle = required_str(v, "handle")?.to_string();
+            let finisher = match optional(v, "finisher", "a string", Json::as_str)? {
                 None => AlgorithmKind::PothenFanPar,
-                Some(f) => {
-                    let name = f.as_str().ok_or_else(|| {
-                        fail((code::PARSE, "\"finisher\" must be a string".into()))
-                    })?;
-                    let kind: AlgorithmKind =
-                        name.parse().map_err(|e| fail((code::SPEC, format!("{e}"))))?;
+                Some(name) => {
+                    let kind: AlgorithmKind = name.parse().map_err(|e| spec_error(&e))?;
                     if !kind.is_exact() {
                         let e = crate::engine::SpecError::NonExactFinisher { finisher: kind };
-                        return Err(fail((code::SPEC, e.to_string())));
+                        return Err(spec_error(&e));
                     }
                     kind
                 }
             };
             Op::Delta(DeltaJob {
                 handle,
-                add: parse_edge_list(v, "add").map_err(fail)?,
-                remove: parse_edge_list(v, "remove").map_err(fail)?,
+                add: parse_edge_list(v, "add")?,
+                remove: parse_edge_list(v, "remove")?,
                 finisher,
-                quality: optional_bool(v, "quality").map_err(fail)?,
-                mates: optional_bool(v, "mates").map_err(fail)?,
+                quality: flag("quality")?,
+                mates: flag("mates")?,
             })
         }
         "ping" => Op::Ping,
-        "drop" => Op::Drop { handle: required_str(v, "handle").map_err(fail)?.to_string() },
+        "drop" => Op::Drop { handle: required_str(v, "handle")?.to_string() },
         "sleep" => {
-            let ms = v
-                .get("ms")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| fail((code::PARSE, "sleep job needs integer \"ms\"".into())))?;
-            Op::Sleep { ms }
+            let ms = v.get("ms").and_then(Json::as_u64);
+            Op::Sleep {
+                ms: ms.ok_or_else(|| (code::PARSE, "sleep job needs integer \"ms\"".into()))?,
+            }
         }
         "cancel" => {
-            let target = v.get("job").ok_or_else(|| {
-                fail((code::PARSE, "cancel job needs a \"job\" field: the target job's id".into()))
+            let target = v.get("job").cloned().ok_or_else(|| {
+                (code::PARSE, "cancel job needs a \"job\" field: the target job's id".into())
             })?;
-            Op::Cancel { job: target.clone() }
+            Op::Cancel { job: target }
         }
         "shutdown" => Op::Shutdown,
         other => {
-            return Err(fail((
+            return Err((
                 code::PARSE,
                 format!(
                     "unknown op {other:?}; expected solve|delta|ping|drop|sleep|cancel|shutdown"
                 ),
-            )))
+            ))
         }
     };
-    Ok(Job { id, op, deadline_ms })
+    Ok(Job { id: id.clone(), op, deadline_ms })
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +546,7 @@ struct HandleQueue {
     /// carries the connection it belongs to: the per-handle FIFO spans
     /// connections, so a successor may reply on a different stream than
     /// its predecessor.
-    pending: VecDeque<(Job, JobCtx, Arc<Conn>)>,
+    pending: VecDeque<(Job, Arc<JobCtx>, Arc<Conn>)>,
 }
 
 /// One cached instance: per-handle job serialization + the cached
@@ -559,6 +557,15 @@ struct HandleEntry {
     state: Mutex<HandleState>,
     bytes: AtomicUsize,
     touched: AtomicU64,
+}
+
+impl HandleEntry {
+    /// No job holds or awaits this handle — the one test `drop` and
+    /// eviction both apply. Lock order is cache → queue everywhere.
+    fn idle(&self) -> bool {
+        let q = lock(&self.queue);
+        !q.busy && q.pending.is_empty()
+    }
 }
 
 struct Cache {
@@ -591,23 +598,11 @@ impl Cache {
             let victim = self
                 .entries
                 .iter()
-                .filter(|(name, entry)| {
-                    if name.as_str() == protect {
-                        return false;
-                    }
-                    // Never evict a handle with jobs in flight; lock order
-                    // is cache → queue everywhere, so this cannot deadlock.
-                    let q = entry.queue.lock().unwrap_or_else(|p| p.into_inner());
-                    !q.busy && q.pending.is_empty()
-                })
+                .filter(|(name, entry)| name.as_str() != protect && entry.idle())
                 .min_by_key(|(_, entry)| entry.touched.load(Ordering::Relaxed))
                 .map(|(name, _)| name.clone());
-            match victim {
-                Some(name) => {
-                    self.entries.remove(&name);
-                }
-                None => return,
-            }
+            let Some(name) = victim else { return };
+            self.entries.remove(&name);
         }
     }
 }
@@ -642,13 +637,56 @@ impl ServeCore {
         }
     }
 
-    fn cache_lock(&self) -> std::sync::MutexGuard<'_, Cache> {
-        self.cache.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// True when the external stop flag (SIGTERM in the CLI) has flipped.
     fn stop_requested(&self) -> bool {
         self.opts.stop.is_some_and(|s| s.load(Ordering::SeqCst))
+    }
+
+    /// The one handle-state write, for `store`-ing solves and deltas
+    /// alike: cache `graph` and `mates` under `handle`, then evict idle
+    /// handles down to the budget (never `handle` itself).
+    fn store(&self, handle: &str, graph: Arc<BipartiteGraph>, mates: Matching) {
+        let entry = lock(&self.cache).entry_for(handle);
+        {
+            let mut state = lock(&entry.state);
+            *state = HandleState { graph: Some(graph), mates: Some(mates) };
+            entry.bytes.store(state.approx_bytes(), Ordering::Relaxed);
+        }
+        lock(&self.cache).evict_to_budget(handle);
+    }
+
+    /// Detach an idle handle from the cache.
+    fn drop_handle(&self, handle: &str) -> Result<(), JobError> {
+        let mut cache = lock(&self.cache);
+        match cache.entries.get(handle).map(|entry| entry.idle()) {
+            None => Err((code::HANDLE, format!("no instance cached under handle {handle:?}"))),
+            Some(false) => {
+                Err((code::HANDLE, format!("handle {handle:?} has jobs in flight; retry later")))
+            }
+            Some(true) => {
+                cache.entries.remove(handle);
+                Ok(())
+            }
+        }
+    }
+
+    /// A job on `handle` finished: pop the next pending job (the handle
+    /// stays busy for it), or mark the handle idle — and forget it if no
+    /// job ever stored an instance under it. Runs under the cache lock,
+    /// like [`schedule`]'s FIFO insertion, so no job can be queued on an
+    /// entry while it is removed (lock order: cache, queue, then state,
+    /// which no holder ever extends).
+    fn release(&self, handle: &str, entry: &HandleEntry) -> Option<(Job, Arc<JobCtx>, Arc<Conn>)> {
+        let mut cache = lock(&self.cache);
+        let mut q = lock(&entry.queue);
+        let next = q.pending.pop_front();
+        if next.is_none() {
+            q.busy = false;
+            if lock(&entry.state).graph.is_none() {
+                cache.entries.remove(handle);
+            }
+        }
+        next
     }
 }
 
@@ -684,41 +722,23 @@ struct Conn {
     jobs: AtomicUsize,
     ok: AtomicUsize,
     errors: AtomicUsize,
-    /// Cancel tokens of this connection's in-flight worker jobs, keyed by
-    /// the job id's JSON rendering: inserted at submission, removed before
-    /// the reply is enqueued, cancelled by the inline `cancel` op. A
-    /// reused id overwrites — a `cancel` always targets the latest.
-    cancels: Mutex<HashMap<String, CancelToken>>,
+    /// This connection processed a `shutdown` op.
+    shutdown: AtomicBool,
+    /// Contexts (cancel tokens) of this connection's in-flight worker
+    /// jobs, keyed by the job id's JSON rendering: inserted at
+    /// submission, removed by their own job before its reply is enqueued,
+    /// cancelled by the inline `cancel` op. A reused id overwrites — a
+    /// `cancel` always targets the newest job with that id.
+    cancels: Mutex<HashMap<String, Arc<JobCtx>>>,
 }
 
 impl Conn {
-    fn new(core: Arc<ServeCore>, tx: mpsc::SyncSender<Event>) -> Self {
-        Conn {
-            core,
-            tx,
-            in_flight: AtomicUsize::new(0),
-            jobs: AtomicUsize::new(0),
-            ok: AtomicUsize::new(0),
-            errors: AtomicUsize::new(0),
-            cancels: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn count(&self, ok: bool) {
-        if ok {
-            self.ok.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Worker-side reply path: count, render, enqueue for the connection
-    /// loop. Replies are enqueued *before* the in-flight slot is released
-    /// (see [`run_job`]), so a drain that observes zero in-flight jobs
-    /// knows every reply is already in the channel.
-    fn send_reply(&self, doc: Json) {
-        self.count(doc.get("ok").and_then(Json::as_bool) == Some(true));
-        let _ = self.tx.send(Event::Reply(doc.to_string()));
+    /// Count `reply` for the shutdown summary and render its line — the
+    /// one place replies are counted, inline and worker-produced alike.
+    fn render(&self, reply: Json) -> String {
+        let ok = reply.get("ok") == Some(&Json::Bool(true));
+        (if ok { &self.ok } else { &self.errors }).fetch_add(1, Ordering::Relaxed);
+        reply.to_string()
     }
 
     /// Reserve an in-flight slot, or refuse (admission control).
@@ -730,12 +750,12 @@ impl Conn {
             .is_ok()
     }
 
-    fn summary(&self, shutdown: bool) -> ServeSummary {
+    fn summary(&self) -> ServeSummary {
         ServeSummary {
             jobs: self.jobs.load(Ordering::Relaxed),
             ok: self.ok.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            shutdown,
+            shutdown: self.shutdown.load(Ordering::Relaxed),
         }
     }
 }
@@ -770,34 +790,73 @@ impl<W: Write> LineWriter<W> {
     }
 }
 
-fn error_doc(id: &Json, code: &'static str, message: &str) -> Json {
-    Json::obj(vec![
+// ---------------------------------------------------------------------------
+// Replies
+// ---------------------------------------------------------------------------
+
+/// The one `"ok":true` envelope, for all seven ops: id, ok, op, then the
+/// op's own `fields`.
+fn ok_doc(id: &Json, op: &str, fields: Vec<(&str, Json)>) -> Json {
+    let head = [("id", id.clone()), ("ok", Json::Bool(true)), ("op", Json::from(op))];
+    Json::obj(head.into_iter().chain(fields).collect())
+}
+
+/// An `"ok":false` reply: id, ok, code, error, then `extra` fields.
+fn error_doc(id: &Json, (code, message): JobError, extra: Vec<(&str, Json)>) -> Json {
+    let head = [
         ("id", id.clone()),
         ("ok", Json::Bool(false)),
         ("code", Json::from(code)),
         ("error", Json::from(message)),
-    ])
+    ];
+    Json::obj(head.into_iter().chain(extra).collect())
 }
 
-fn mates_json(m: &Matching) -> Json {
-    Json::Arr(
-        m.rmates()
-            .iter()
-            .map(|&j| if j == NIL { Json::Null } else { Json::Int(j as i64) })
-            .collect(),
-    )
+/// A solve or delta reply: the op's `fields`, then the report, then the
+/// row mates when the job asked for them.
+fn solved(
+    id: &Json,
+    op: &str,
+    mut fields: Vec<(&str, Json)>,
+    report: &SolveReport,
+    mates: bool,
+) -> Json {
+    fields.push(("report", report.to_json()));
+    if mates {
+        let rmate = report.matching.rmates().iter();
+        let rmate = rmate.map(|&j| if j == NIL { Json::Null } else { Json::Int(j as i64) });
+        fields.push(("rmate", Json::Arr(rmate.collect())));
+    }
+    ok_doc(id, op, fields)
+}
+
+/// Verify a finished solve's matching, then record the job's deadline
+/// and, when asked, the quality ratio against the exact optimum.
+fn check_report(
+    report: &mut SolveReport,
+    graph: &BipartiteGraph,
+    ctx: &JobCtx,
+    quality: bool,
+) -> Result<(), JobError> {
+    let valid = report.matching.verify(graph);
+    valid.map_err(|e| (code::INTERNAL, format!("produced an invalid matching: {e}")))?;
+    report.deadline_ms = ctx.deadline_ms;
+    if quality {
+        report.set_quality(sprank(graph));
+    }
+    Ok(())
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "job panicked".to_string())
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"job panicked").to_string(),
+    }
 }
 
-/// Build the bipartite graph for an inline instance ref, bounds-checked
-/// (an out-of-range edge must become an error reply, not a worker panic).
+/// Build the bipartite graph for an inline instance ref, range- and
+/// bounds-checked (a bad size or edge must become an error reply, not a
+/// worker panic).
 fn build_inline(
     nrows: usize,
     ncols: usize,
@@ -805,6 +864,11 @@ fn build_inline(
 ) -> Result<BipartiteGraph, JobError> {
     if nrows == 0 || ncols == 0 {
         return Err((code::INSTANCE, "inline instances need nrows ≥ 1 and ncols ≥ 1".into()));
+    }
+    if nrows.max(ncols) > MAX_DIM {
+        let message =
+            format!("inline instance {nrows}×{ncols} exceeds the largest supported size {MAX_DIM}");
+        return Err((code::INSTANCE, message));
     }
     let mut t = TripletMatrix::with_capacity(nrows, ncols, edges.len());
     for &(i, j) in edges {
@@ -823,93 +887,69 @@ fn build_inline(
 // Job execution (on pool workers)
 // ---------------------------------------------------------------------------
 
-fn execute_solve(core: &ServeCore, job: &SolveJob, ctx: &JobCtx) -> Result<Json, JobError> {
+fn execute_solve(
+    core: &ServeCore,
+    id: &Json,
+    job: &SolveJob,
+    ctx: &JobCtx,
+) -> Result<Json, JobError> {
     let graph: Arc<BipartiteGraph> = match &job.instance {
         InstanceRef::Gen(spec) => Arc::new(parse_gen_spec(spec).map_err(|e| (code::INSTANCE, e))?),
         InstanceRef::Inline { nrows, ncols, edges } => {
             Arc::new(build_inline(*nrows, *ncols, edges)?)
         }
         InstanceRef::Handle(h) => {
-            let entry =
-                core.cache_lock().entries.get(h).cloned().ok_or_else(|| {
-                    (code::HANDLE, format!("no instance cached under handle {h:?}"))
-                })?;
-            let state = entry.state.lock().unwrap_or_else(|p| p.into_inner());
-            state.graph.clone().ok_or_else(|| {
+            let entry = lock(&core.cache).entries.get(h).cloned();
+            let entry = entry
+                .ok_or_else(|| (code::HANDLE, format!("no instance cached under handle {h:?}")))?;
+            let graph = lock(&entry.state).graph.clone();
+            graph.ok_or_else(|| {
                 (code::HANDLE, format!("handle {h:?} exists but has no cached instance yet"))
             })?
         }
     };
 
-    let solved = core.pool.with_workspace(|ws| {
+    let solved_report = core.pool.with_workspace(|ws| {
         job.pipeline.clone().with_seed(job.seed).solve_cancel(&graph, ws, &ctx.token)
     });
-    let mut report = match solved {
-        Ok(report) => report,
-        Err(_) => return Err(ctx.deadline_error()),
-    };
-    report.deadline_ms = ctx.deadline_ms;
-    report
-        .matching
-        .verify(&graph)
-        .map_err(|e| (code::INTERNAL, format!("produced an invalid matching: {e}")))?;
-    if job.quality {
-        report.set_quality(sprank(&graph));
-    }
-
+    let Ok(mut report) = solved_report else { return Err(ctx.deadline_error()) };
+    check_report(&mut report, &graph, ctx, job.quality)?;
     if let Some(handle) = &job.store {
-        let entry = core.cache_lock().entry_for(handle);
-        {
-            let mut state = entry.state.lock().unwrap_or_else(|p| p.into_inner());
-            state.graph = Some(Arc::clone(&graph));
-            state.mates = Some(report.matching.clone());
-            entry.bytes.store(state.approx_bytes(), Ordering::Relaxed);
-        }
-        core.cache_lock().evict_to_budget(handle);
+        core.store(handle, Arc::clone(&graph), report.matching.clone());
     }
 
-    let mut pairs = vec![
-        ("ok".to_string(), Json::Bool(true)),
-        ("op".to_string(), Json::from("solve")),
-        ("pipeline".to_string(), Json::from(job.pipeline.spec())),
-        ("seed".to_string(), Json::from(job.seed)),
-    ];
+    let mut fields =
+        vec![("pipeline", Json::from(job.pipeline.spec())), ("seed", Json::from(job.seed))];
     if let Some(h) = &job.store {
-        pairs.push(("handle".to_string(), Json::from(h.as_str())));
+        fields.push(("handle", Json::from(h.as_str())));
     }
     if let Some(w) = report.weight {
         // Weighted workloads answer "how heavy" at the top level too, so
         // clients need not dig into the nested report.
-        pairs.push(("weight".to_string(), Json::from(w)));
+        fields.push(("weight", Json::from(w)));
     }
-    pairs.push(("report".to_string(), report.to_json()));
-    if job.mates {
-        pairs.push(("rmate".to_string(), mates_json(&report.matching)));
-    }
-    Ok(Json::Obj(pairs))
+    Ok(solved(id, "solve", fields, &report, job.mates))
 }
 
 fn execute_delta(
     core: &ServeCore,
+    id: &Json,
     job: &DeltaJob,
     ctx: &JobCtx,
-    entry: &Arc<HandleEntry>,
+    entry: Option<&HandleEntry>,
 ) -> Result<Json, JobError> {
-    let (graph, cached_mates) = {
-        let state = entry.state.lock().unwrap_or_else(|p| p.into_inner());
+    let (graph, cached_mates) = entry.map_or((None, None), |entry| {
+        let state = lock(&entry.state);
         (state.graph.clone(), state.mates.clone())
-    };
+    });
     let graph = graph.ok_or_else(|| {
         (code::HANDLE, format!("no instance cached under handle {:?}", job.handle))
     })?;
     let (nrows, ncols) = (graph.nrows(), graph.ncols());
-    for &(i, j) in job.add.iter().chain(&job.remove) {
-        if i >= nrows || j >= ncols {
-            return Err((
-                code::INSTANCE,
-                format!("delta edge ({i},{j}) out of bounds for {nrows}×{ncols}"),
-            ));
-        }
+    let mut edges = job.add.iter().chain(&job.remove);
+    if let Some((i, j)) = edges.find(|&&(i, j)| i >= nrows || j >= ncols) {
+        let message = format!("delta edge ({i},{j}) out of bounds for {nrows}×{ncols}");
+        return Err((code::INSTANCE, message));
     }
 
     // Patch the cached CSR in place (one merge pass over the touched rows)
@@ -945,48 +985,24 @@ fn execute_delta(
     let Ok((matching, stage)) = finished else {
         return Err(ctx.deadline_error());
     };
-    matching
-        .verify(&mutated)
-        .map_err(|e| (code::INTERNAL, format!("produced an invalid matching: {e}")))?;
-
     let mut report = SolveReport::new(matching, vec![stage]);
-    report.deadline_ms = ctx.deadline_ms;
-    if job.quality {
-        report.set_quality(sprank(&mutated));
-    }
+    check_report(&mut report, &mutated, ctx, job.quality)?;
+    core.store(&job.handle, Arc::new(mutated), report.matching.clone());
 
-    {
-        let mut state = entry.state.lock().unwrap_or_else(|p| p.into_inner());
-        state.graph = Some(Arc::new(mutated));
-        state.mates = Some(report.matching.clone());
-        entry.bytes.store(state.approx_bytes(), Ordering::Relaxed);
-    }
-    {
-        let mut cache = core.cache_lock();
-        cache.touch(entry);
-        cache.evict_to_budget(&job.handle);
-    }
-
-    let mut pairs = vec![
-        ("ok".to_string(), Json::Bool(true)),
-        ("op".to_string(), Json::from("delta")),
-        ("handle".to_string(), Json::from(job.handle.as_str())),
-        ("warm".to_string(), Json::Bool(warm)),
-        ("added".to_string(), Json::from(job.add.len())),
-        ("removed".to_string(), Json::from(job.remove.len())),
-        ("report".to_string(), report.to_json()),
+    let fields = vec![
+        ("handle", Json::from(job.handle.as_str())),
+        ("warm", Json::Bool(warm)),
+        ("added", Json::from(job.add.len())),
+        ("removed", Json::from(job.remove.len())),
     ];
-    if job.mates {
-        pairs.push(("rmate".to_string(), mates_json(&report.matching)));
-    }
-    Ok(Json::Obj(pairs))
+    Ok(solved(id, "delta", fields, &report, job.mates))
 }
 
 fn execute(
     core: &ServeCore,
     job: &Job,
     ctx: &JobCtx,
-    entry: Option<&Arc<HandleEntry>>,
+    entry: Option<&HandleEntry>,
 ) -> Result<Json, JobError> {
     // A deadline that expired while the job sat in a queue cancels it
     // before any work starts — even for pipelines whose stages have no
@@ -995,39 +1011,20 @@ fn execute(
         return Err(ctx.deadline_error());
     }
     match &job.op {
-        Op::Solve(sj) => execute_solve(core, sj, ctx),
-        Op::Delta(dj) => {
-            // Defensive: the scheduler always pairs a delta with its
-            // handle entry; if that invariant ever breaks, answer with a
-            // structured internal error instead of poisoning a worker.
-            let Some(entry) = entry else {
-                return Err((
-                    code::INTERNAL,
-                    "delta job was scheduled without its handle entry".to_string(),
-                ));
-            };
-            execute_delta(core, dj, ctx, entry)
-        }
+        Op::Solve(sj) => execute_solve(core, &job.id, sj, ctx),
+        Op::Delta(dj) => execute_delta(core, &job.id, dj, ctx, entry),
         Op::Sleep { ms } => {
             let total = Duration::from_millis((*ms).min(60_000));
             let t0 = Instant::now();
             // Chunked so a deadline interrupts the nap promptly — this is
             // what makes deadline tests cheap and deterministic.
-            loop {
-                let elapsed = t0.elapsed();
-                if elapsed >= total {
-                    break;
-                }
+            while let Some(left) = total.checked_sub(t0.elapsed()).filter(|d| !d.is_zero()) {
                 if ctx.token.is_cancelled() {
                     return Err(ctx.deadline_error());
                 }
-                std::thread::sleep((total - elapsed).min(Duration::from_millis(5)));
+                std::thread::sleep(left.min(Duration::from_millis(5)));
             }
-            Ok(Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("op", Json::from("sleep")),
-                ("ms", Json::from(*ms)),
-            ]))
+            Ok(ok_doc(&job.id, "sleep", vec![("ms", Json::from(*ms))]))
         }
         // Inline ops never reach the workers.
         Op::Ping | Op::Drop { .. } | Op::Cancel { .. } | Op::Shutdown => {
@@ -1038,87 +1035,72 @@ fn execute(
 
 /// Run one scheduled job on a worker: execute (panic-safe), release the
 /// handle and start its next pending job, then enqueue the reply and
-/// release the admission slot — in that order (see [`Conn::send_reply`]).
+/// release the admission slot — in that order, so a drain that observes
+/// zero in-flight jobs knows every reply is already in the channel.
 fn run_job<'s>(
     conn: Arc<Conn>,
     scope: &rayon::Scope<'s>,
     job: Job,
-    ctx: JobCtx,
+    ctx: Arc<JobCtx>,
     entry: Option<Arc<HandleEntry>>,
 ) {
     faults::stall_if_due("start", ctx.ord);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         faults::panic_if_due(ctx.ord);
-        execute(&conn.core, &job, &ctx, entry.as_ref())
+        execute(&conn.core, &job, &ctx, entry.as_deref())
     }));
     faults::stall_if_due("finish", ctx.ord);
     let reply = match outcome {
-        Ok(Ok(body)) => {
-            let Json::Obj(mut pairs) = body else { unreachable!("replies are objects") };
-            pairs.insert(0, ("id".to_string(), job.id.clone()));
-            Json::Obj(pairs)
-        }
-        Ok(Err((code, message))) => {
-            let mut doc = error_doc(&job.id, code, &message);
-            if let Json::Obj(pairs) = &mut doc {
-                if code == code::DEADLINE {
-                    pairs.push(("cancelled".to_string(), Json::Bool(true)));
-                    pairs.push(("deadline_ms".to_string(), Json::opt(ctx.deadline_ms)));
-                }
-                if let Some(h) = job.primary_handle() {
-                    pairs.push(("handle".to_string(), Json::from(h)));
-                }
+        Ok(Ok(reply)) => reply,
+        Ok(Err(error)) => {
+            let mut extra = Vec::new();
+            if error.0 == code::DEADLINE {
+                extra.push(("cancelled", Json::Bool(true)));
+                extra.push(("deadline_ms", Json::opt(ctx.deadline_ms)));
             }
-            doc
+            if let Some(h) = job.primary_handle() {
+                extra.push(("handle", Json::from(h)));
+            }
+            error_doc(&job.id, error, extra)
         }
-        Err(payload) => error_doc(&job.id, code::INTERNAL, &panic_message(payload)),
+        Err(payload) => error_doc(&job.id, (code::INTERNAL, panic_message(payload)), Vec::new()),
     };
     // Release the handle (and start its next pending job) *before* the
     // reply goes out: a client that reacts to the reply instantly — e.g.
     // with a `drop` — must observe the handle idle, not racily busy.
-    if let Some(entry) = entry {
-        let next = {
-            let mut q = entry.queue.lock().unwrap_or_else(|p| p.into_inner());
-            match q.pending.pop_front() {
-                Some(next) => Some(next), // stays busy
-                None => {
-                    q.busy = false;
-                    None
-                }
-            }
-        };
-        if let Some((job, ctx, owner)) = next {
+    if let (Some(entry), Some(handle)) = (entry, job.primary_handle()) {
+        if let Some((next, next_ctx, owner)) = conn.core.release(handle, &entry) {
             // The successor may belong to a different connection; it joins
             // whichever scope is current — its owner's drain tracks it
             // through the owner's in-flight counter, not scope membership.
-            scope.spawn(move |s| run_job(owner, s, job, ctx, Some(entry)));
+            scope.spawn(move |s| run_job(owner, s, next, next_ctx, Some(entry)));
         }
     }
     // Deregister before the reply goes out: a client reacting to the reply
-    // with a `cancel` of the same id must get a clean "no such job".
-    conn.cancels.lock().unwrap_or_else(|p| p.into_inner()).remove(&job.id.to_string());
-    conn.send_reply(reply);
+    // with a `cancel` of the same id must get a clean "no such job". Only
+    // this job's own token goes — a reused id belongs to its newest job.
+    {
+        let mut cancels = lock(&conn.cancels);
+        let key = job.id.to_string();
+        if cancels.get(&key).is_some_and(|registered| Arc::ptr_eq(registered, &ctx)) {
+            cancels.remove(&key);
+        }
+    }
+    let _ = conn.tx.send(Event::Reply(conn.render(reply)));
     conn.in_flight.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// Admit + schedule one worker-bound job: direct spawn when it touches no
 /// handle, per-handle FIFO when it does. The job's deadline is armed here,
 /// at submission — queue wait counts against the budget.
-fn schedule<'s, W: Write>(
-    conn: &Arc<Conn>,
-    scope: &rayon::Scope<'s>,
-    out: &mut LineWriter<W>,
-    job: Job,
-) {
+fn schedule<'s>(conn: &Arc<Conn>, scope: &rayon::Scope<'s>, job: Job) -> Result<(), JobError> {
     if !conn.admit() {
         let message = format!(
             "queue full: {} jobs in flight (max_queue {})",
             conn.in_flight.load(Ordering::SeqCst),
             conn.core.opts.max_queue
         );
-        conn.count(false);
-        out.reply(error_doc(&job.id, code::QUEUE, &message).to_string());
-        return;
+        return Err((code::QUEUE, message));
     }
     let defaulted = conn.core.opts.default_deadline_ms;
     let deadline_ms = job.deadline_ms.or((defaulted > 0).then_some(defaulted));
@@ -1126,183 +1108,79 @@ fn schedule<'s, W: Write>(
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
         None => CancelToken::unbounded(),
     };
-    let ctx = JobCtx { token, deadline_ms, ord: faults::next_job() };
+    let ctx = Arc::new(JobCtx { token, deadline_ms, ord: faults::next_job() });
     // Register for client-initiated `cancel` before the job can run:
     // queued jobs (per-handle FIFO) are cancellable while they wait.
-    conn.cancels
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .insert(job.id.to_string(), ctx.token.clone());
-    let entry = job.primary_handle().map(|h| conn.core.cache_lock().entry_for(h));
-    match entry {
-        None => {
-            let owner = Arc::clone(conn);
-            scope.spawn(move |s| run_job(owner, s, job, ctx, None));
-        }
-        Some(entry) => {
-            let run_now = {
-                let mut q = entry.queue.lock().unwrap_or_else(|p| p.into_inner());
-                if q.busy {
-                    q.pending.push_back((job.clone(), ctx.clone(), Arc::clone(conn)));
-                    false
-                } else {
-                    q.busy = true;
-                    true
-                }
-            };
-            if run_now {
-                let owner = Arc::clone(conn);
-                scope.spawn(move |s| run_job(owner, s, job, ctx, Some(entry)));
+    lock(&conn.cancels).insert(job.id.to_string(), Arc::clone(&ctx));
+    let owner = Arc::clone(conn);
+    let entry = match job.primary_handle() {
+        None => None,
+        // FIFO insertion under the cache lock (lock order: cache, then
+        // queue), so a finishing job cannot remove the entry meanwhile.
+        Some(handle) => {
+            let mut cache = lock(&conn.core.cache);
+            let entry = cache.entry_for(handle);
+            let mut q = lock(&entry.queue);
+            if q.busy {
+                q.pending.push_back((job, ctx, owner));
+                return Ok(());
             }
+            q.busy = true;
+            drop(q);
+            Some(entry)
         }
-    }
+    };
+    scope.spawn(move |s| run_job(owner, s, job, ctx, entry));
+    Ok(())
 }
 
-/// What processing one input line decided.
-enum LineOutcome {
-    Continue,
-    Shutdown,
-}
-
-fn handle_line<'s, W: Write>(
-    conn: &Arc<Conn>,
-    scope: &rayon::Scope<'s>,
-    out: &mut LineWriter<W>,
-    text: &str,
-) -> LineOutcome {
+/// Process one input line: answer inline ops at once and hand
+/// worker-bound jobs to [`schedule`]. Returns the reply to write now, if
+/// any (blank lines get none, worker jobs reply later).
+fn handle_line<'s>(conn: &Arc<Conn>, scope: &rayon::Scope<'s>, text: &str) -> Option<Json> {
     let text = text.trim();
     if text.is_empty() {
-        return LineOutcome::Continue;
+        return None;
     }
     conn.jobs.fetch_add(1, Ordering::Relaxed);
     let doc = match parse_json(text) {
         Ok(doc) => doc,
         Err(e) => {
-            conn.count(false);
-            out.reply(
-                error_doc(&Json::Null, code::PARSE, &format!("malformed job line: {e}"))
-                    .to_string(),
-            );
-            return LineOutcome::Continue;
+            let error = (code::PARSE, format!("malformed job line: {e}"));
+            return Some(error_doc(&Json::Null, error, Vec::new()));
         }
     };
-    let job = match parse_job(&doc) {
-        Ok(job) => job,
-        Err((id, (code, message))) => {
-            conn.count(false);
-            out.reply(error_doc(&id, code, &message).to_string());
-            return LineOutcome::Continue;
-        }
+    let Some(id) = doc.get("id") else {
+        let error = (code::PARSE, "job has no \"id\"; replies are tagged with it".to_string());
+        return Some(error_doc(&Json::Null, error, Vec::new()));
     };
-    match &job.op {
-        Op::Ping => {
-            conn.count(true);
-            out.reply(
-                Json::obj(vec![
-                    ("id", job.id.clone()),
-                    ("ok", Json::Bool(true)),
-                    ("op", Json::from("ping")),
-                ])
-                .to_string(),
-            );
-            LineOutcome::Continue
-        }
+    let reply = parse_job(&doc, id).and_then(|job| match &job.op {
+        Op::Ping => Ok(Some(ok_doc(id, "ping", Vec::new()))),
         Op::Shutdown => {
             conn.core.shutdown.store(true, Ordering::SeqCst);
-            conn.count(true);
-            out.reply(
-                Json::obj(vec![
-                    ("id", job.id.clone()),
-                    ("ok", Json::Bool(true)),
-                    ("op", Json::from("shutdown")),
-                ])
-                .to_string(),
-            );
-            LineOutcome::Shutdown
+            conn.shutdown.store(true, Ordering::Relaxed);
+            Ok(Some(ok_doc(id, "shutdown", Vec::new())))
         }
         Op::Drop { handle } => {
-            let mut cache = conn.core.cache_lock();
-            let dropped = match cache.entries.get(handle) {
-                None => Err(format!("no instance cached under handle {handle:?}")),
-                Some(entry) => {
-                    let q = entry.queue.lock().unwrap_or_else(|p| p.into_inner());
-                    if q.busy || !q.pending.is_empty() {
-                        Err(format!("handle {handle:?} has jobs in flight; retry later"))
-                    } else {
-                        Ok(())
-                    }
-                }
-            };
-            match dropped {
-                Ok(()) => {
-                    cache.entries.remove(handle);
-                    drop(cache);
-                    conn.count(true);
-                    out.reply(
-                        Json::obj(vec![
-                            ("id", job.id.clone()),
-                            ("ok", Json::Bool(true)),
-                            ("op", Json::from("drop")),
-                            ("handle", Json::from(handle.as_str())),
-                        ])
-                        .to_string(),
-                    );
-                }
-                Err(message) => {
-                    drop(cache);
-                    conn.count(false);
-                    out.reply(error_doc(&job.id, code::HANDLE, &message).to_string());
-                }
+            conn.core.drop_handle(handle)?;
+            Ok(Some(ok_doc(id, "drop", vec![("handle", Json::from(handle.as_str()))])))
+        }
+        Op::Cancel { job: target } => match lock(&conn.cancels).get(&target.to_string()) {
+            Some(ctx) => {
+                ctx.token.cancel();
+                Ok(Some(ok_doc(id, "cancel", vec![("job", target.clone())])))
             }
-            LineOutcome::Continue
-        }
-        Op::Cancel { job: target } => {
-            let token = conn
-                .cancels
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .get(&target.to_string())
-                .cloned();
-            match token {
-                Some(token) => {
-                    token.cancel();
-                    conn.count(true);
-                    out.reply(
-                        Json::obj(vec![
-                            ("id", job.id.clone()),
-                            ("ok", Json::Bool(true)),
-                            ("op", Json::from("cancel")),
-                            ("job", target.clone()),
-                        ])
-                        .to_string(),
-                    );
-                }
-                None => {
-                    conn.count(false);
-                    out.reply(
-                        error_doc(
-                            &job.id,
-                            code::JOB,
-                            &format!("no in-flight job {target} on this connection"),
-                        )
-                        .to_string(),
-                    );
-                }
-            }
-            LineOutcome::Continue
-        }
-        Op::Solve(_) | Op::Delta(_) | Op::Sleep { .. } => {
-            schedule(conn, scope, out, job);
-            LineOutcome::Continue
-        }
-    }
+            None => Err((code::JOB, format!("no in-flight job {target} on this connection"))),
+        },
+        Op::Solve(_) | Op::Delta(_) | Op::Sleep { .. } => schedule(conn, scope, job).map(|()| None),
+    });
+    reply.unwrap_or_else(|error| Some(error_doc(id, error, Vec::new())))
 }
 
 /// The connection loop: runs on the connection's own thread, owns the
 /// output stream, and multiplexes three event sources — input lines from
 /// the detached reader thread, rendered replies from workers, and the
-/// daemon-wide shutdown/stop flags (polled). Returns true when this
-/// connection saw the `shutdown` op.
+/// daemon-wide shutdown/stop flags (polled).
 ///
 /// Drain protocol: once reading has ended (EOF) or a shutdown/stop is in
 /// effect, the loop keeps delivering replies until the connection's
@@ -1314,14 +1192,14 @@ fn conn_loop<'s, W: Write>(
     scope: &rayon::Scope<'s>,
     rx: &mpsc::Receiver<Event>,
     out: &mut LineWriter<W>,
-) -> bool {
+) {
     let mut done_reading = false;
     let mut draining = false;
-    let mut client_shutdown = false;
     loop {
         if !draining && (conn.core.shutdown.load(Ordering::SeqCst) || conn.core.stop_requested()) {
-            // Another connection's shutdown op, or SIGTERM: stop taking
-            // new work, drain what's in flight, and spread the word.
+            // A shutdown op (this connection's or another's), or SIGTERM:
+            // stop taking new work, drain what's in flight, and spread
+            // the word.
             conn.core.shutdown.store(true, Ordering::SeqCst);
             draining = true;
         }
@@ -1331,31 +1209,33 @@ fn conn_loop<'s, W: Write>(
                     out.reply(text);
                 }
             }
-            return client_shutdown;
+            return;
         }
-        match rx.recv_timeout(POLL_INTERVAL) {
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => done_reading = true,
-            Ok(Event::Eof) => done_reading = true,
-            Ok(Event::Reply(text)) => out.reply(text),
-            Ok(Event::Oversize(bytes)) if !draining => {
+        let reply = match rx.recv_timeout(POLL_INTERVAL) {
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) | Ok(Event::Eof) => {
+                done_reading = true;
+                None
+            }
+            Ok(Event::Reply(text)) => {
+                out.reply(text);
+                None
+            }
+            // While draining, further input is ignored (matching the
+            // pre-concurrency behaviour of stopping the read loop).
+            Ok(Event::Oversize(_) | Event::Line(_)) if draining => None,
+            Ok(Event::Oversize(bytes)) => {
                 conn.jobs.fetch_add(1, Ordering::Relaxed);
-                conn.count(false);
                 let message = format!(
                     "job line of {bytes} bytes exceeds the {}-byte line limit",
                     conn.core.opts.max_line_bytes
                 );
-                out.reply(error_doc(&Json::Null, code::PARSE, &message).to_string());
+                Some(error_doc(&Json::Null, (code::PARSE, message), Vec::new()))
             }
-            Ok(Event::Line(text)) if !draining => {
-                if let LineOutcome::Shutdown = handle_line(conn, scope, out, &text) {
-                    draining = true;
-                    client_shutdown = true;
-                }
-            }
-            // While draining, further input is ignored (matching the
-            // pre-concurrency behaviour of stopping the read loop).
-            Ok(Event::Oversize(_)) | Ok(Event::Line(_)) => {}
+            Ok(Event::Line(text)) => handle_line(conn, scope, &text),
+        };
+        if let Some(reply) = reply {
+            out.reply(conn.render(reply));
         }
     }
 }
@@ -1364,79 +1244,33 @@ fn conn_loop<'s, W: Write>(
 // Input framing
 // ---------------------------------------------------------------------------
 
-enum LineRead {
-    Eof,
-    Line(String),
-    Oversize(usize),
-}
-
 /// Read one newline-terminated line, holding at most `cap` bytes in
-/// memory. An over-cap line is consumed to its newline (counting, not
-/// storing) and reported as [`LineRead::Oversize`] with its total length.
-fn read_line_capped<R: BufRead>(input: &mut R, cap: usize) -> std::io::Result<LineRead> {
+/// memory: an over-cap line is consumed to its newline (or the end of
+/// input), counted but not stored, and reported as [`Event::Oversize`]
+/// with its total length.
+fn read_line_capped<R: BufRead>(input: &mut R, cap: usize) -> std::io::Result<Event> {
     let mut buf: Vec<u8> = Vec::new();
+    let mut total = 0;
     loop {
         let chunk = input.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
-            });
-        }
-        if let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
-            if buf.len() + pos <= cap {
-                buf.extend_from_slice(&chunk[..pos]);
-                input.consume(pos + 1);
-                return Ok(LineRead::Line(String::from_utf8_lossy(&buf).into_owned()));
-            }
-            let total = buf.len() + pos;
-            input.consume(pos + 1);
-            return Ok(LineRead::Oversize(total));
-        }
-        let n = chunk.len();
-        if buf.len() + n > cap {
-            // Over the cap with no newline yet: stop storing, keep
-            // counting until the line (or the stream) ends.
-            let mut total = buf.len() + n;
-            buf.clear();
-            input.consume(n);
-            loop {
-                let chunk = input.fill_buf()?;
-                if chunk.is_empty() {
-                    return Ok(LineRead::Oversize(total));
-                }
-                if let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
-                    total += pos;
-                    input.consume(pos + 1);
-                    return Ok(LineRead::Oversize(total));
-                }
-                total += chunk.len();
-                let n = chunk.len();
-                input.consume(n);
-            }
-        }
-        buf.extend_from_slice(chunk);
-        input.consume(n);
-    }
-}
-
-/// The detached reader thread: pumps capped lines into the connection
-/// loop's channel. Exits on EOF/read error (after signalling `Eof`) or
-/// when the connection loop has gone away.
-fn reader_loop<R: BufRead>(mut input: R, tx: mpsc::SyncSender<Event>, cap: usize) {
-    let cap = if cap == 0 { usize::MAX } else { cap };
-    loop {
-        let event = match read_line_capped(&mut input, cap) {
-            Ok(LineRead::Eof) | Err(_) => {
-                let _ = tx.send(Event::Eof);
-                return;
-            }
-            Ok(LineRead::Line(text)) => Event::Line(text),
-            Ok(LineRead::Oversize(bytes)) => Event::Oversize(bytes),
+        let (n, newline) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(pos) => (pos, true),
+            None => (chunk.len(), false),
         };
-        if tx.send(event).is_err() {
-            return;
+        total += n;
+        if total <= cap {
+            buf.extend_from_slice(&chunk[..n]);
+        } else {
+            buf.clear();
+        }
+        input.consume(n + usize::from(newline));
+        // An empty chunk is the end of input.
+        if newline || n == 0 {
+            return Ok(match total {
+                0 if !newline => Event::Eof,
+                total if total > cap => Event::Oversize(total),
+                _ => Event::Line(String::from_utf8_lossy(&buf).into_owned()),
+            });
         }
     }
 }
@@ -1445,13 +1279,22 @@ fn reader_loop<R: BufRead>(mut input: R, tx: mpsc::SyncSender<Event>, cap: usize
 // Session entry points
 // ---------------------------------------------------------------------------
 
-fn serve_stream<R, W>(core: &Arc<ServeCore>, input: R, output: W) -> ServeSummary
+fn serve_stream<R, W>(core: &Arc<ServeCore>, mut input: R, output: W) -> ServeSummary
 where
     R: BufRead + Send + 'static,
     W: Write,
 {
     let (tx, rx) = mpsc::sync_channel::<Event>(EVENT_CHANNEL_DEPTH);
-    let conn = Arc::new(Conn::new(Arc::clone(core), tx.clone()));
+    let conn = Arc::new(Conn {
+        core: Arc::clone(core),
+        tx: tx.clone(),
+        in_flight: AtomicUsize::new(0),
+        jobs: AtomicUsize::new(0),
+        ok: AtomicUsize::new(0),
+        errors: AtomicUsize::new(0),
+        shutdown: AtomicBool::new(false),
+        cancels: Mutex::new(HashMap::new()),
+    });
     let mut out = LineWriter { out: output, broken: false };
     out.event(&Json::obj(vec![
         ("event", Json::from("ready")),
@@ -1462,15 +1305,25 @@ where
         ("max_line_bytes", Json::from(core.opts.max_line_bytes)),
         ("default_deadline_ms", Json::from(core.opts.default_deadline_ms)),
     ]));
-    {
-        let cap = core.opts.max_line_bytes;
-        std::thread::spawn(move || reader_loop(input, tx, cap));
-    }
+    // The detached reader thread pumps capped lines into the channel until
+    // EOF or a read error (signalled as `Eof`), or until the connection
+    // loop has gone away.
+    let cap = match core.opts.max_line_bytes {
+        0 => usize::MAX,
+        cap => cap,
+    };
+    std::thread::spawn(move || loop {
+        let event = read_line_capped(&mut input, cap).unwrap_or(Event::Eof);
+        let eof = matches!(event, Event::Eof);
+        if tx.send(event).is_err() || eof {
+            return;
+        }
+    });
     // The connection loop runs as a scope body on this thread; workers
     // drain jobs concurrently. The scope joins any task still running
     // here (e.g. a cross-connection successor) after the drain.
-    let client_shutdown = core.pool.rayon_pool().scope(|s| conn_loop(&conn, s, &rx, &mut out));
-    let summary = conn.summary(client_shutdown);
+    core.pool.rayon_pool().scope(|s| conn_loop(&conn, s, &rx, &mut out));
+    let summary = conn.summary();
     out.event(&Json::obj(vec![
         ("event", Json::from("shutdown")),
         ("jobs", Json::from(summary.jobs)),
@@ -1538,11 +1391,11 @@ pub fn serve_unix_socket(
     listener.set_nonblocking(true)?;
 
     let core = Arc::new(ServeCore::new(opts));
-    let active = Arc::new(AtomicUsize::new(0));
-    // Read-halves of live connections, so shutdown can unblock their
-    // parked reader threads (shutting down only the read side keeps the
-    // write side open for drained replies).
-    let registry: Arc<Mutex<HashMap<u64, UnixStream>>> = Arc::new(Mutex::new(HashMap::new()));
+    // Read-halves of live sessions: their count is the live-session count
+    // `max_clients` bounds, and shutdown uses them to unblock parked
+    // reader threads (shutting down only the read side keeps the write
+    // side open for drained replies).
+    let registry: Mutex<HashMap<u64, UnixStream>> = Mutex::new(HashMap::new());
     let totals = Mutex::new(ServeSummary::default());
     let mut next_id: u64 = 0;
     let mut fatal: Option<std::io::Error> = None;
@@ -1550,53 +1403,38 @@ pub fn serve_unix_socket(
     std::thread::scope(|s| {
         while !(core.shutdown.load(Ordering::SeqCst) || core.stop_requested()) {
             match listener.accept() {
-                Ok((stream, _addr)) => {
+                Ok((mut stream, _addr)) => {
                     let _ = stream.set_nonblocking(false);
                     let limit = core.opts.max_clients;
-                    if limit > 0 && active.load(Ordering::SeqCst) >= limit {
-                        let doc = Json::obj(vec![
-                            ("event", Json::from("error")),
-                            ("code", Json::from(code::BUSY)),
-                            (
-                                "error",
-                                Json::from(format!("daemon at max_clients ({limit}); retry later")),
-                            ),
-                        ]);
-                        let mut stream = stream;
-                        let _ = writeln!(stream, "{doc}");
-                        continue; // dropped: connection closed
-                    }
-                    let (reader, registered) = match (stream.try_clone(), stream.try_clone()) {
-                        (Ok(r), Ok(g)) => (r, g),
-                        _ => {
-                            let mut stream = stream;
-                            let doc = Json::obj(vec![
-                                ("event", Json::from("error")),
-                                ("code", Json::from(code::INTERNAL)),
-                                ("error", Json::from("failed to clone the connection stream")),
-                            ]);
-                            let _ = writeln!(stream, "{doc}");
-                            continue;
-                        }
+                    let (error_code, message) = if limit > 0 && lock(&registry).len() >= limit {
+                        (code::BUSY, format!("daemon at max_clients ({limit}); retry later"))
+                    } else if let (Ok(reader), Ok(registered)) =
+                        (stream.try_clone(), stream.try_clone())
+                    {
+                        let id = next_id;
+                        next_id += 1;
+                        lock(&registry).insert(id, registered);
+                        let (core, registry, totals) = (&core, &registry, &totals);
+                        s.spawn(move || {
+                            let summary =
+                                serve_stream(core, std::io::BufReader::new(reader), stream);
+                            let mut total = lock(totals);
+                            total.jobs += summary.jobs;
+                            total.ok += summary.ok;
+                            total.errors += summary.errors;
+                            total.shutdown |= summary.shutdown;
+                            lock(registry).remove(&id);
+                        });
+                        continue;
+                    } else {
+                        (code::INTERNAL, "failed to clone the connection stream".to_string())
                     };
-                    let id = next_id;
-                    next_id += 1;
-                    active.fetch_add(1, Ordering::SeqCst);
-                    registry.lock().unwrap_or_else(|p| p.into_inner()).insert(id, registered);
-                    let core = Arc::clone(&core);
-                    let active = Arc::clone(&active);
-                    let registry = Arc::clone(&registry);
-                    let totals = &totals;
-                    s.spawn(move || {
-                        let summary = serve_stream(&core, std::io::BufReader::new(reader), stream);
-                        let mut total = totals.lock().unwrap_or_else(|p| p.into_inner());
-                        total.jobs += summary.jobs;
-                        total.ok += summary.ok;
-                        total.errors += summary.errors;
-                        total.shutdown |= summary.shutdown;
-                        registry.lock().unwrap_or_else(|p| p.into_inner()).remove(&id);
-                        active.fetch_sub(1, Ordering::SeqCst);
-                    });
+                    let doc = Json::obj(vec![
+                        ("event", Json::from("error")),
+                        ("code", Json::from(error_code)),
+                        ("error", Json::from(message)),
+                    ]);
+                    let _ = writeln!(stream, "{doc}"); // dropped: connection closed
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(10));
@@ -1613,12 +1451,7 @@ pub fn serve_unix_socket(
         // threads parked on idle connections. Sessions then drain their
         // in-flight jobs; the scope join below waits for all of them.
         core.shutdown.store(true, Ordering::SeqCst);
-        let streams: Vec<UnixStream> = registry
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .drain()
-            .map(|(_, stream)| stream)
-            .collect();
+        let streams: Vec<UnixStream> = lock(&registry).drain().map(|(_, stream)| stream).collect();
         for stream in streams {
             let _ = stream.shutdown(std::net::Shutdown::Read);
         }
@@ -1862,23 +1695,50 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_instance_sizes_are_errors_not_panics() {
+        for (spec, needle) in [
+            ("er:10:1e300", "degree 1e300 exceeds the size 10"),
+            ("er:5000000000:1", "largest supported size"),
+            ("er:4294967295:1", "largest supported size"),
+            ("er:4000000000:4000000000", "edge draws exceed"),
+            // The zero, negative and non-finite messages predate the
+            // range checks and stay as they were.
+            ("er:0:3", "size must be positive"),
+            ("er:-4:3", "bad size \"-4\""),
+            ("er:40:-1", "degree must be positive and finite"),
+            ("er:40:inf", "degree must be positive and finite"),
+            ("er:40:NaN", "degree must be positive and finite"),
+        ] {
+            let err = parse_gen_spec(spec).err().unwrap_or_else(|| panic!("{spec} must fail"));
+            assert!(err.contains(needle), "{spec}: {err}");
+        }
+        let full = parse_gen_spec("er:3:3").expect("a degree equal to the size is accepted");
+        assert!(full.nnz() <= 9);
+
+        let (code, message) = build_inline(5_000_000_000, 2, &[]).expect_err("too many rows");
+        assert_eq!(code, code::INSTANCE);
+        assert!(message.contains("largest supported size"), "{message}");
+        assert!(build_inline(2, MAX_DIM + 1, &[]).is_err());
+    }
+
+    #[test]
     fn read_line_capped_frames_and_counts() {
         let data = b"short\n0123456789abcdef-too-long\nnext\n";
         let mut input = std::io::Cursor::new(&data[..]);
         match read_line_capped(&mut input, 10).unwrap() {
-            LineRead::Line(l) => assert_eq!(l, "short"),
+            Event::Line(l) => assert_eq!(l, "short"),
             _ => panic!("expected a line"),
         }
         match read_line_capped(&mut input, 10).unwrap() {
-            LineRead::Oversize(n) => assert_eq!(n, 25),
+            Event::Oversize(n) => assert_eq!(n, 25),
             _ => panic!("expected oversize"),
         }
         match read_line_capped(&mut input, 10).unwrap() {
-            LineRead::Line(l) => assert_eq!(l, "next"),
+            Event::Line(l) => assert_eq!(l, "next"),
             _ => panic!("the stream recovers cleanly after an oversize line"),
         }
         match read_line_capped(&mut input, 10).unwrap() {
-            LineRead::Eof => {}
+            Event::Eof => {}
             _ => panic!("expected EOF"),
         }
     }

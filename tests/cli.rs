@@ -80,3 +80,13 @@ fn hk_par_works_as_algo_shorthand() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("quality       : 1.0000"), "stdout: {}", stdout(&out));
 }
+
+#[test]
+fn out_of_range_gen_specs_exit_1_without_panicking() {
+    for spec in ["gen:er:10:1e300", "gen:er:5000000000:1", "gen:er:4000000000:4000000000"] {
+        let out = dsmatch(&[spec]);
+        assert_eq!(out.status.code(), Some(1), "{spec}: stderr {}", stderr(&out));
+        assert!(!stderr(&out).contains("panicked"), "{spec}: {}", stderr(&out));
+        assert!(stderr(&out).contains("gen:er:<n>:<avg_degree>"), "{spec}: {}", stderr(&out));
+    }
+}

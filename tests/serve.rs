@@ -373,6 +373,207 @@ fn shutdown_op_stops_reading() {
 }
 
 // ---------------------------------------------------------------------------
+// Golden transcripts: the protocol's reply bytes
+// ---------------------------------------------------------------------------
+
+/// Zero every `"seconds"` value, the only timing-dependent reply field.
+fn zero_seconds(v: &mut Json) {
+    match v {
+        Json::Obj(pairs) => {
+            for (key, value) in pairs {
+                if key == "seconds" {
+                    *value = Json::Int(0);
+                } else {
+                    zero_seconds(value);
+                }
+            }
+        }
+        Json::Arr(items) => items.iter_mut().for_each(zero_seconds),
+        _ => {}
+    }
+}
+
+/// A whole session's output with `"seconds"` zeroed and lines sorted by
+/// id (replies stream in completion order); the id-less `ready` and
+/// `shutdown` events sort first.
+fn transcript(input: &str, opts: &ServeOptions) -> Vec<String> {
+    let mut out: Vec<u8> = Vec::new();
+    serve(std::io::Cursor::new(input.to_string()), &mut out, opts);
+    let mut lines: Vec<(String, String)> = String::from_utf8(out)
+        .expect("utf8 output")
+        .lines()
+        .map(|l| {
+            let mut doc = Json::parse(l).unwrap_or_else(|e| panic!("bad reply line {l:?}: {e}"));
+            zero_seconds(&mut doc);
+            (doc.get("id").map_or(String::new(), Json::to_string), doc.to_string())
+        })
+        .collect();
+    lines.sort();
+    lines.into_iter().map(|(_, line)| line).collect()
+}
+
+/// Every op and every error code that does not depend on timing, with
+/// each field's wrong-type message and the order the checks run in.
+const GOLDEN_JOBS: &str = r#"{not json
+{"op":"ping"}
+{"id":"p-op","op":"warp"}
+{"id":"p-op-type","op":3}
+{"id":"p-order","op":"warp","seed":"x"}
+{"id":"p-seed","pipeline":"two","instance":"gen:er:40:3","seed":"7"}
+{"id":"p-deadline","op":"ping","deadline_ms":-5}
+{"id":"p-quality","pipeline":"two","instance":"gen:er:40:3","quality":1}
+{"id":"p-mates","pipeline":"two","instance":"gen:er:40:3","mates":"no"}
+{"id":"p-store","pipeline":"two","instance":"gen:er:40:3","store":""}
+{"id":"p-no-pipeline","instance":"gen:er:40:3"}
+{"id":"p-no-instance","pipeline":"two"}
+{"id":"p-str-instance","pipeline":"two","instance":"file.mtx"}
+{"id":"p-obj-instance","pipeline":"two","instance":{"rows":3}}
+{"id":"p-handle-ref","pipeline":"two","instance":{"handle":7}}
+{"id":"p-edges","pipeline":"two","instance":{"nrows":2,"ncols":2,"edges":5}}
+{"id":"p-edge-pair","pipeline":"two","instance":{"nrows":2,"ncols":2,"edges":[[0]]}}
+{"id":"p-edge-neg","pipeline":"two","instance":{"nrows":2,"ncols":2,"edges":[[0,-1]]}}
+{"id":"p-delta-handle","op":"delta"}
+{"id":"p-delta-add","op":"delta","handle":"h","add":"x"}
+{"id":"p-finisher","op":"delta","handle":"h","finisher":5}
+{"id":"p-sleep","op":"sleep"}
+{"id":"p-cancel","op":"cancel"}
+{"id":"p-drop","op":"drop"}
+{"id":"e-spec","pipeline":"two,frobnicate","instance":"gen:er:40:3"}
+{"id":"e-spec-finisher","op":"delta","handle":"h","finisher":"two"}
+{"id":"e-spec-unknown","op":"delta","handle":"h","finisher":"warp"}
+{"id":"e-gen-zero","pipeline":"two","instance":"gen:er:0:3"}
+{"id":"e-gen-degree","pipeline":"two","instance":"gen:er:40:-1"}
+{"id":"e-gen-family","pipeline":"two","instance":"gen:zipf:40"}
+{"id":"e-inline-empty","pipeline":"two","instance":{"nrows":0,"ncols":3,"edges":[]}}
+{"id":"e-inline-oob","pipeline":"two","instance":{"nrows":4,"ncols":4,"edges":[[9,0]]}}
+{"id":"e-handle-read","pipeline":"hk","instance":{"handle":"ghost"}}
+{"id":"e-handle-store","pipeline":"hk","instance":{"handle":"ghost-src"},"store":"ghost-dst"}
+{"id":"e-handle-delta","op":"delta","handle":"ghost-delta"}
+{"id":"e-handle-drop","op":"drop","handle":"nothing"}
+{"id":"e-deadline","op":"sleep","ms":2000,"deadline_ms":0}
+{"id":"e-job","op":"cancel","job":"ghost-job"}
+{"id":"s-store","pipeline":"scale:sk:3,two,hk","instance":"gen:er:60:3:5","seed":9,"store":"h","quality":true,"mates":true}
+{"id":"s-read","pipeline":"two","instance":{"handle":"h"},"quality":true}
+{"id":"d-default","op":"delta","handle":"h","add":[[0,5],[7,7]],"remove":[[1,1]],"mates":true}
+{"id":"d-auto","op":"delta","handle":"h","add":[[2,7]],"finisher":"auto","quality":true}
+{"id":"e-delta-oob","op":"delta","handle":"h","add":[[60,0]]}
+{"id":"e-handle-deadline","pipeline":"hk","instance":{"handle":"h"},"deadline_ms":0}
+{"id":"s-suitor","pipeline":"scale:sk:5,suitor","instance":"gen:er:60:4:2"}
+{"id":"s-dm","pipeline":"dm,two,pf","instance":"gen:er:60:3:3","seed":4}
+{"id":"s-inline","pipeline":"hk","instance":{"nrows":4,"ncols":5,"edges":[[0,0],[0,1],[1,1],[2,3],[3,3],[3,4]]},"mates":true}
+{"id":17,"op":"ping"}
+{"id":[1,"x"],"op":"ping"}
+{"id":"k-sleep","op":"sleep","ms":5}
+{"id":"k-long","op":"sleep","ms":5000}
+{"id":"c-ok","op":"cancel","job":"k-long"}
+{"id":"z-bye","op":"shutdown"}
+{"id":"z-never","op":"ping"}
+"#;
+
+const GOLDEN_REPLIES: &str = r#"{"event":"ready","threads":2,"observed_workers":2,"max_queue":64,"cache_bytes":268435456,"max_line_bytes":67108864,"default_deadline_ms":0}
+{"event":"shutdown","jobs":53,"ok":12,"errors":41}
+{"id":"c-ok","ok":true,"op":"cancel","job":"k-long"}
+{"id":"d-auto","ok":true,"op":"delta","handle":"h","warm":true,"added":1,"removed":0,"report":{"cardinality":56,"seconds":0,"stages":[{"stage":"delta:auto","seconds":0,"cardinality":56,"augmentations":0,"phases":1,"selected":"hk-par","weight":null}],"scaling_iterations":null,"scaling_error":null,"quality":1,"deadline_ms":null,"weight":null}}
+{"id":"d-default","ok":true,"op":"delta","handle":"h","warm":true,"added":2,"removed":1,"report":{"cardinality":56,"seconds":0,"stages":[{"stage":"delta:pf-par","seconds":0,"cardinality":56,"augmentations":0,"phases":1,"selected":null,"weight":null}],"scaling_iterations":null,"scaling_error":null,"quality":null,"deadline_ms":null,"weight":null},"rmate":[20,18,36,null,41,52,59,0,24,42,16,57,58,26,10,null,11,33,null,28,39,3,46,45,34,7,27,8,13,29,5,9,17,49,56,25,50,40,51,53,43,null,48,44,2,19,21,38,32,14,55,22,12,47,54,6,37,35,1,30]}
+{"id":"e-deadline","ok":false,"code":"deadline","error":"deadline of 0 ms exceeded; job cancelled","cancelled":true,"deadline_ms":0}
+{"id":"e-delta-oob","ok":false,"code":"instance","error":"delta edge (60,0) out of bounds for 60×60","handle":"h"}
+{"id":"e-gen-degree","ok":false,"code":"instance","error":"degree must be positive and finite; expected gen:er:<n>:<avg_degree>[:<seed>]"}
+{"id":"e-gen-family","ok":false,"code":"instance","error":"unsupported gen spec \"zipf:40\"; expected gen:er:<n>:<avg_degree>[:<seed>]"}
+{"id":"e-gen-zero","ok":false,"code":"instance","error":"size must be positive; expected gen:er:<n>:<avg_degree>[:<seed>]"}
+{"id":"e-handle-deadline","ok":false,"code":"deadline","error":"deadline of 0 ms exceeded; job cancelled","cancelled":true,"deadline_ms":0,"handle":"h"}
+{"id":"e-handle-delta","ok":false,"code":"handle","error":"no instance cached under handle \"ghost-delta\"","handle":"ghost-delta"}
+{"id":"e-handle-drop","ok":false,"code":"handle","error":"no instance cached under handle \"nothing\""}
+{"id":"e-handle-read","ok":false,"code":"handle","error":"handle \"ghost\" exists but has no cached instance yet","handle":"ghost"}
+{"id":"e-handle-store","ok":false,"code":"handle","error":"no instance cached under handle \"ghost-src\"","handle":"ghost-dst"}
+{"id":"e-inline-empty","ok":false,"code":"instance","error":"inline instances need nrows ≥ 1 and ncols ≥ 1"}
+{"id":"e-inline-oob","ok":false,"code":"instance","error":"edge (9,0) out of bounds for 4×4"}
+{"id":"e-job","ok":false,"code":"job","error":"no in-flight job \"ghost-job\" on this connection"}
+{"id":"e-spec","ok":false,"code":"spec","error":"unknown algorithm \"frobnicate\"; expected one of one|two|ks|ksmt|one-out|cheap|cheap-vertex|hk|pf|pr|bfs|hk-par|pf-par|pf-graft|auto|greedy-w|path-grow|suitor|suitor-par|dm"}
+{"id":"e-spec-finisher","ok":false,"code":"spec","error":"augment stage two is not an exact algorithm"}
+{"id":"e-spec-unknown","ok":false,"code":"spec","error":"unknown algorithm \"warp\"; expected one of one|two|ks|ksmt|one-out|cheap|cheap-vertex|hk|pf|pr|bfs|hk-par|pf-par|pf-graft|auto|greedy-w|path-grow|suitor|suitor-par|dm"}
+{"id":"k-long","ok":false,"code":"deadline","error":"job cancelled by client request","cancelled":true,"deadline_ms":null}
+{"id":"k-sleep","ok":true,"op":"sleep","ms":5}
+{"id":"p-cancel","ok":false,"code":"parse","error":"cancel job needs a \"job\" field: the target job's id"}
+{"id":"p-deadline","ok":false,"code":"parse","error":"\"deadline_ms\" must be a non-negative integer"}
+{"id":"p-delta-add","ok":false,"code":"parse","error":"\"add\" must be an array of [row,col] pairs"}
+{"id":"p-delta-handle","ok":false,"code":"parse","error":"job needs a non-empty string \"handle\" field"}
+{"id":"p-drop","ok":false,"code":"parse","error":"job needs a non-empty string \"handle\" field"}
+{"id":"p-edge-neg","ok":false,"code":"parse","error":"\"edges\" entries must be non-negative integers, got [0,-1]"}
+{"id":"p-edge-pair","ok":false,"code":"parse","error":"\"edges\" entries must be [row,col] pairs, got [0]"}
+{"id":"p-edges","ok":false,"code":"parse","error":"\"edges\" must be an array of [row,col] pairs"}
+{"id":"p-finisher","ok":false,"code":"parse","error":"\"finisher\" must be a string"}
+{"id":"p-handle-ref","ok":false,"code":"parse","error":"\"handle\" must be a non-empty string"}
+{"id":"p-mates","ok":false,"code":"parse","error":"\"mates\" must be a boolean"}
+{"id":"p-no-instance","ok":false,"code":"parse","error":"solve job needs an \"instance\": a \"gen:…\" spec, {\"handle\":…}, or {\"nrows\",\"ncols\",\"edges\"}"}
+{"id":"p-no-pipeline","ok":false,"code":"parse","error":"job needs a non-empty string \"pipeline\" field"}
+{"id":"p-obj-instance","ok":false,"code":"parse","error":"unsupported instance ref {\"rows\":3}; expected a \"gen:…\" spec, {\"handle\":…}, or {\"nrows\",\"ncols\",\"edges\"}"}
+{"id":"p-op","ok":false,"code":"parse","error":"unknown op \"warp\"; expected solve|delta|ping|drop|sleep|cancel|shutdown"}
+{"id":"p-op-type","ok":false,"code":"parse","error":"\"op\" must be a string"}
+{"id":"p-order","ok":false,"code":"parse","error":"\"seed\" must be a non-negative integer"}
+{"id":"p-quality","ok":false,"code":"parse","error":"\"quality\" must be a boolean"}
+{"id":"p-seed","ok":false,"code":"parse","error":"\"seed\" must be a non-negative integer"}
+{"id":"p-sleep","ok":false,"code":"parse","error":"sleep job needs integer \"ms\""}
+{"id":"p-store","ok":false,"code":"parse","error":"\"store\" must be a non-empty string"}
+{"id":"p-str-instance","ok":false,"code":"parse","error":"string instance refs must be \"gen:…\" specs, got \"file.mtx\""}
+{"id":"s-dm","ok":true,"op":"solve","pipeline":"dm,two,pf","seed":4,"report":{"cardinality":57,"seconds":0,"stages":[{"stage":"dm","seconds":0,"cardinality":57,"augmentations":null,"phases":20,"selected":null,"weight":null}],"scaling_iterations":null,"scaling_error":null,"quality":null,"deadline_ms":null,"weight":null}}
+{"id":"s-inline","ok":true,"op":"solve","pipeline":"hk","seed":1,"report":{"cardinality":4,"seconds":0,"stages":[{"stage":"hk","seconds":0,"cardinality":4,"augmentations":4,"phases":2,"selected":null,"weight":null}],"scaling_iterations":null,"scaling_error":null,"quality":null,"deadline_ms":null,"weight":null},"rmate":[0,1,3,4]}
+{"id":"s-read","ok":true,"op":"solve","pipeline":"two","seed":1,"report":{"cardinality":46,"seconds":0,"stages":[{"stage":"two","seconds":0,"cardinality":46,"augmentations":null,"phases":null,"selected":null,"weight":null}],"scaling_iterations":null,"scaling_error":null,"quality":0.8214285714285714,"deadline_ms":null,"weight":null}}
+{"id":"s-store","ok":true,"op":"solve","pipeline":"scale:sk:3,two,hk","seed":9,"handle":"h","report":{"cardinality":56,"seconds":0,"stages":[{"stage":"scale:sk:3","seconds":0,"cardinality":null,"augmentations":null,"phases":null,"selected":null,"weight":null},{"stage":"two","seconds":0,"cardinality":53,"augmentations":null,"phases":null,"selected":null,"weight":null},{"stage":"augment:hk","seconds":0,"cardinality":56,"augmentations":3,"phases":3,"selected":null,"weight":null}],"scaling_iterations":3,"scaling_error":1.2223805657016467,"quality":1,"deadline_ms":null,"weight":null},"rmate":[20,18,36,null,41,52,59,0,24,42,16,57,58,26,10,null,11,33,null,28,39,3,46,45,34,7,27,8,13,29,5,9,17,49,56,25,50,40,51,53,43,null,48,44,2,19,21,38,32,14,55,22,12,47,54,6,37,35,1,30]}
+{"id":"s-suitor","ok":true,"op":"solve","pipeline":"scale:sk:5,suitor","seed":1,"weight":27.620201584481453,"report":{"cardinality":53,"seconds":0,"stages":[{"stage":"scale:sk:5","seconds":0,"cardinality":null,"augmentations":null,"phases":null,"selected":null,"weight":null},{"stage":"suitor","seconds":0,"cardinality":53,"augmentations":null,"phases":null,"selected":null,"weight":27.620201584481453}],"scaling_iterations":5,"scaling_error":1,"quality":null,"deadline_ms":null,"weight":27.620201584481453}}
+{"id":"z-bye","ok":true,"op":"shutdown"}
+{"id":17,"ok":true,"op":"ping"}
+{"id":[1,"x"],"ok":true,"op":"ping"}
+{"id":null,"ok":false,"code":"parse","error":"job has no \"id\"; replies are tagged with it"}
+{"id":null,"ok":false,"code":"parse","error":"malformed job line: expected '\"' at byte 1"}
+"#;
+
+/// Admission control's `queue` error needs a one-slot queue.
+const GOLDEN_QUEUE_JOBS: &str = r#"{"id":"q-slow","op":"sleep","ms":300}
+{"id":"q-rejected","pipeline":"two","instance":"gen:er:40:3"}
+{"id":"q-ping","op":"ping"}
+"#;
+
+const GOLDEN_QUEUE_REPLIES: &str = r#"{"event":"ready","threads":1,"observed_workers":1,"max_queue":1,"cache_bytes":268435456,"max_line_bytes":67108864,"default_deadline_ms":0}
+{"event":"shutdown","jobs":3,"ok":2,"errors":1}
+{"id":"q-ping","ok":true,"op":"ping"}
+{"id":"q-rejected","ok":false,"code":"queue","error":"queue full: 1 jobs in flight (max_queue 1)"}
+{"id":"q-slow","ok":true,"op":"sleep","ms":300}
+"#;
+
+/// Instance sizes beyond what the graph types can index answer
+/// `instance`, not `internal`: the range checks run before anything is
+/// allocated.
+#[test]
+fn out_of_range_instance_sizes_answer_instance_errors() {
+    let input = concat!(
+        "{\"id\":\"degree\",\"pipeline\":\"two\",\"instance\":\"gen:er:10:1e300\"}\n",
+        "{\"id\":\"size\",\"pipeline\":\"two\",\"instance\":\"gen:er:5000000000:1\"}\n",
+        "{\"id\":\"draws\",\"pipeline\":\"two\",\"instance\":\"gen:er:4000000000:4000000000\"}\n",
+        "{\"id\":\"inline\",\"pipeline\":\"two\",\"instance\":{\"nrows\":5000000000,\"ncols\":2,\"edges\":[]}}\n",
+        "{\"id\":\"alive\",\"op\":\"ping\"}\n",
+    );
+    let lines = run_serve(input, &ServeOptions { threads: 1, ..ServeOptions::default() });
+    for id in ["degree", "size", "draws", "inline"] {
+        assert_eq!(code_of(reply(&lines, id)), "instance", "{}", reply(&lines, id));
+    }
+    assert_ok(reply(&lines, "alive"));
+}
+
+/// The protocol's bytes are its contract (the benchmark's reply
+/// classifier and delta replay parse them): a reply, code, message or key
+/// order that moves fails here.
+#[test]
+fn golden_transcripts_pin_every_reply_byte() {
+    let opts = ServeOptions { threads: 2, ..ServeOptions::default() };
+    assert_eq!(transcript(GOLDEN_JOBS, &opts), GOLDEN_REPLIES.lines().collect::<Vec<_>>());
+    let opts = ServeOptions { threads: 1, max_queue: 1, ..ServeOptions::default() };
+    assert_eq!(
+        transcript(GOLDEN_QUEUE_JOBS, &opts),
+        GOLDEN_QUEUE_REPLIES.lines().collect::<Vec<_>>()
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Real-binary tests
 // ---------------------------------------------------------------------------
 
@@ -499,6 +700,68 @@ fn binary_handle_lifecycle_drop_and_eviction() {
         d.round_trip("{\"id\":\"g2\",\"pipeline\":\"hk\",\"instance\":{\"handle\":\"h2\"}}");
     assert!(dropped.contains("\"code\":\"handle\""), "{dropped}");
     assert!(d.round_trip(&store("h2")).contains("\"ok\":true"));
+    d.finish();
+}
+
+/// A job naming a handle that no job ever stored leaves nothing behind —
+/// a failing read, a failing delta, or a `store` whose instance never
+/// built: a later `drop` of that name answers `handle`, while a drop of a
+/// stored handle is acknowledged.
+#[test]
+fn binary_jobs_on_never_stored_handles_leave_nothing_to_drop() {
+    let mut d = Daemon::spawn(&["--threads", "2"]);
+    for (job, handle) in [
+        ("{\"id\":\"r\",\"pipeline\":\"hk\",\"instance\":{\"handle\":\"never-read\"}}", "never-read"),
+        ("{\"id\":\"x\",\"op\":\"delta\",\"handle\":\"never-delta\",\"add\":[[0,0]]}", "never-delta"),
+        (
+            "{\"id\":\"s\",\"pipeline\":\"two\",\"instance\":\"gen:er:0:3\",\"store\":\"never-built\"}",
+            "never-built",
+        ),
+    ] {
+        let reply = d.round_trip(job);
+        assert!(reply.contains("\"ok\":false"), "job {job}: {reply}");
+        // The job's reply goes out after its handle is released, so the
+        // drop below cannot race it.
+        let dropped = d.round_trip(&format!("{{\"id\":\"d\",\"op\":\"drop\",\"handle\":{handle:?}}}"));
+        assert_eq!(
+            dropped,
+            format!(
+                "{{\"id\":\"d\",\"ok\":false,\"code\":\"handle\",\"error\":\"no instance cached under handle \\\"{handle}\\\"\"}}"
+            ),
+            "after job {job}"
+        );
+    }
+    let stored = d.round_trip(
+        "{\"id\":\"s2\",\"pipeline\":\"two\",\"instance\":\"gen:er:50:3\",\"store\":\"kept\"}",
+    );
+    assert!(stored.contains("\"ok\":true"), "{stored}");
+    let dropped = d.round_trip("{\"id\":\"d2\",\"op\":\"drop\",\"handle\":\"kept\"}");
+    assert_eq!(dropped, "{\"id\":\"d2\",\"ok\":true,\"op\":\"drop\",\"handle\":\"kept\"}");
+    d.finish();
+}
+
+/// `cancel` of a reused id targets the newest in-flight job with that id,
+/// also after an older job with the same id has finished: the finishing
+/// job removes only its own registration.
+#[test]
+fn binary_cancel_of_a_reused_id_targets_the_newest_job() {
+    let mut d = Daemon::spawn(&["--threads", "2"]);
+    let t0 = std::time::Instant::now();
+    writeln!(d.stdin, "{{\"id\":\"x\",\"op\":\"sleep\",\"ms\":100}}").unwrap();
+    writeln!(d.stdin, "{{\"id\":\"x\",\"op\":\"sleep\",\"ms\":5000}}").unwrap();
+    let first = d.next_line();
+    assert_eq!(first, "{\"id\":\"x\",\"ok\":true,\"op\":\"sleep\",\"ms\":100}");
+    let ack = d.round_trip("{\"id\":\"c\",\"op\":\"cancel\",\"job\":\"x\"}");
+    assert_eq!(ack, "{\"id\":\"c\",\"ok\":true,\"op\":\"cancel\",\"job\":\"x\"}");
+    let second = d.next_line();
+    assert!(second.contains("\"id\":\"x\""), "{second}");
+    assert!(second.contains("\"code\":\"deadline\""), "{second}");
+    assert!(second.contains("\"cancelled\":true"), "{second}");
+    assert!(
+        // lint:allow(test-deadline): upper bound proving the 5 s sleep was cut short — must stay below 5 s, so it cannot route through the widening knob
+        t0.elapsed() < std::time::Duration::from_secs(4),
+        "the 5 s sleep must be cut short by the cancel"
+    );
     d.finish();
 }
 
