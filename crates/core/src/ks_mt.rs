@@ -57,9 +57,9 @@ impl KsMtScratch {
     }
 
     /// Resize every buffer to `total` and reset values for a fresh solve,
-    /// reusing allocations.
+    /// reusing allocations. `choice` is only resized: the concatenation
+    /// pass overwrites every slot of it.
     fn reset(&mut self, total: usize) {
-        self.choice.clear();
         self.choice.resize(total, NIL);
         let keep = self.mark.len().min(total);
         self.mark[..keep].par_iter().for_each(|a| a.store(true, Ordering::Relaxed));

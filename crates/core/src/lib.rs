@@ -53,7 +53,7 @@ pub use one_sided::{
     one_sided_match, one_sided_match_seq, one_sided_match_with_scaling, one_sided_match_ws,
     OneSidedConfig,
 };
-pub use sample::{sample_neighbor, ChoiceSampler};
+pub use sample::sample_neighbor;
 pub use two_sided::{
     two_sided_choices, two_sided_choices_into, two_sided_match, two_sided_match_cancel_ws,
     two_sided_match_seq, two_sided_match_with_scaling, two_sided_match_ws, TwoSidedConfig,

@@ -17,7 +17,7 @@ use dsmatch_scale::{sinkhorn_knopp, ScalingConfig, ScalingResult};
 use rayon::prelude::*;
 use std::sync::atomic::Ordering;
 
-use crate::sample::sample_neighbor;
+use crate::sample::{debug_assert_total, sample_neighbor};
 
 /// Configuration of [`one_sided_match`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -75,7 +75,8 @@ pub fn one_sided_match_with_scaling(
 
 /// Buffer-reuse variant of [`one_sided_match_with_scaling`]: the race slots
 /// live in `ws` and keep their allocation across solves; only the returned
-/// [`Matching`] is freshly allocated.
+/// [`Matching`] is freshly allocated. The sampling totals come from
+/// `scaling.row_sums` (see [`ScalingResult`]).
 pub fn one_sided_match_ws(
     g: &BipartiteGraph,
     scaling: &ScalingResult,
@@ -85,7 +86,7 @@ pub fn one_sided_match_ws(
     let n_r = g.nrows();
     let n_c = g.ncols();
     let csr = g.csr();
-    let dc = &scaling.dc;
+    let (dc, row_sums) = (&scaling.dc, &scaling.row_sums);
 
     // cmatch[j] ← NIL, in parallel (paper lines 2–3).
     crate::workspace::reset_atomic_u32(&mut ws.cslots, n_c, NIL);
@@ -95,8 +96,8 @@ pub fn one_sided_match_ws(
     (0..n_r).into_par_iter().for_each(|i| {
         let mut rng = SplitMix64::stream(seed, i as u64);
         let adj = csr.row(i);
-        let total: f64 = adj.iter().map(|&j| dc[j as usize]).sum();
-        let j = sample_neighbor(adj, dc, total, &mut rng);
+        debug_assert_total(adj, dc, row_sums[i]);
+        let j = sample_neighbor(adj, dc, row_sums[i], &mut rng);
         if j != NIL {
             // Benign race: any single writer may win; the matching stays
             // valid because each row writes at most one column slot.
@@ -154,6 +155,18 @@ mod tests {
         let m = one_sided_match(&g, &OneSidedConfig::default());
         m.verify(&g).unwrap();
         assert!(m.cardinality() > 0);
+    }
+
+    /// Factors edited after scaling no longer match the kept sums: debug
+    /// builds refuse to sample with the stale totals.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale sampling total")]
+    fn stale_scaling_sums_are_refused_in_debug_builds() {
+        let g = ring(64);
+        let mut s = sinkhorn_knopp(&g, &ScalingConfig::iterations(3));
+        s.dc[5] *= 2.0;
+        let _ = one_sided_match_with_scaling(&g, &s, 1);
     }
 
     #[test]

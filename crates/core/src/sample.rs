@@ -9,12 +9,14 @@
 //! The paper's implementation — "choose a random number r from a uniform
 //! distribution with range `(0, Σ_k s_ik]`, then find the smallest column
 //! index j for which the prefix sum reaches r" — is an `O(deg)` linear scan,
-//! which we reproduce in [`sample_neighbor`]. [`ChoiceSampler`] precomputes
-//! the per-vertex weight totals (one parallel pass) so repeated sampling
-//! never re-accumulates them.
+//! which we reproduce in [`sample_neighbor`]. The totals `Σ_k dc[k]` (and
+//! `Σ_k dr[k]` column-side) need no pass of their own: scaling already
+//! formed them, and [`ScalingResult`](dsmatch_scale::ScalingResult)'s
+//! `row_sums`/`col_sums` keep them, bit-equal to a fresh sum. The samplers
+//! read them from there and, in debug builds only, check them against a
+//! fresh sum (`debug_assert_total`).
 
 use dsmatch_graph::{SplitMix64, VertexId, NIL};
-use rayon::prelude::*;
 
 /// Sample one neighbour from `adj` with weights `weights[adj[k]]`.
 ///
@@ -44,49 +46,21 @@ pub fn sample_neighbor(
     *adj.last().unwrap()
 }
 
-/// Precomputed per-vertex sampling state for one side of the bipartite
-/// graph: for every vertex, the total weight of its adjacency list.
-#[derive(Clone, Debug)]
-pub struct ChoiceSampler {
-    totals: Vec<f64>,
-}
-
-impl ChoiceSampler {
-    /// Build from a CSR adjacency (`adj_of(v)` = neighbours of vertex `v`)
-    /// and the opposite side's scaling vector. One parallel reduction per
-    /// vertex.
-    pub fn new(csr: &dsmatch_graph::Csr, opposite_scaling: &[f64]) -> Self {
-        let totals: Vec<f64> = (0..csr.nrows())
-            .into_par_iter()
-            .map(|v| csr.row(v).iter().map(|&k| opposite_scaling[k as usize]).sum())
-            .collect();
-        Self { totals }
-    }
-
-    /// Total adjacent weight of vertex `v`.
-    #[inline]
-    pub fn total(&self, v: usize) -> f64 {
-        self.totals[v]
-    }
-
-    /// Sample a neighbour of `v`; [`NIL`] if `v` has no positive-weight
-    /// neighbour.
-    #[inline]
-    pub fn sample(
-        &self,
-        csr: &dsmatch_graph::Csr,
-        opposite_scaling: &[f64],
-        v: usize,
-        rng: &mut SplitMix64,
-    ) -> VertexId {
-        sample_neighbor(csr.row(v), opposite_scaling, self.totals[v], rng)
-    }
+/// Debug-build guard on a sampling total taken from a `ScalingResult`:
+/// it must be bit-equal to a fresh `Σ_k weights[adj[k]]`. Editing `dr` or
+/// `dc` after scaling trips this instead of sampling with stale totals.
+#[inline]
+pub(crate) fn debug_assert_total(adj: &[VertexId], weights: &[f64], total: f64) {
+    debug_assert_eq!(
+        total.to_bits(),
+        adj.iter().map(|&k| weights[k as usize]).sum::<f64>().to_bits(),
+        "stale sampling total: the scaling's sums no longer match its factors"
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsmatch_graph::Csr;
 
     #[test]
     fn empty_adjacency_gives_nil() {
@@ -133,29 +107,6 @@ mod tests {
         assert!((freq[0] - 0.125).abs() < 0.01, "{freq:?}");
         assert!((freq[1] - 0.250).abs() < 0.01, "{freq:?}");
         assert!((freq[2] - 0.625).abs() < 0.01, "{freq:?}");
-    }
-
-    #[test]
-    fn sampler_totals_match_manual_sums() {
-        let a = Csr::from_dense(&[&[1, 1, 0], &[0, 1, 1], &[1, 0, 0]]);
-        let dc = [0.5, 0.25, 2.0];
-        let s = ChoiceSampler::new(&a, &dc);
-        assert!((s.total(0) - 0.75).abs() < 1e-15);
-        assert!((s.total(1) - 2.25).abs() < 1e-15);
-        assert!((s.total(2) - 0.5).abs() < 1e-15);
-    }
-
-    #[test]
-    fn sampler_samples_within_adjacency() {
-        let a = Csr::from_dense(&[&[0, 1, 1], &[1, 0, 0]]);
-        let dc = [1.0, 1.0, 1.0];
-        let s = ChoiceSampler::new(&a, &dc);
-        let mut rng = SplitMix64::new(7);
-        for _ in 0..100 {
-            let j = s.sample(&a, &dc, 0, &mut rng);
-            assert!(j == 1 || j == 2);
-            assert_eq!(s.sample(&a, &dc, 1, &mut rng), 0);
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use dsmatch_scale::{sinkhorn_knopp, ScalingConfig, ScalingResult};
 use rayon::prelude::*;
 
 use crate::ks_mt::karp_sipser_mt_seq;
-use crate::sample::sample_neighbor;
+use crate::sample::{debug_assert_total, sample_neighbor};
 
 /// Configuration of [`two_sided_match`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -54,6 +54,10 @@ pub fn two_sided_choices(
 /// no temporaries at all — unlike a `collect`, which would stage per-chunk
 /// vectors. Each slot is a pure function of `(seed, index)`, so the arrays
 /// are byte-identical for every pool size.
+///
+/// The sampling totals come from `scaling.row_sums`/`col_sums`, so each
+/// side costs one early-exit scan of its adjacency lists and no summing
+/// pass (see [`ScalingResult`] for the sums invariant).
 pub fn two_sided_choices_into(
     g: &BipartiteGraph,
     scaling: &ScalingResult,
@@ -64,22 +68,22 @@ pub fn two_sided_choices_into(
     let n_r = g.nrows();
     let csr = g.csr();
     let csc = g.csc();
-    let (dr, dc) = (&scaling.dr, &scaling.dc);
+    let ScalingResult { dr, dc, row_sums, col_sums, .. } = scaling;
     // No clear(): every slot is overwritten below, so resizing alone keeps
     // same-shaped batch solves free of the O(n) fill a clear would force.
     rchoice.resize(n_r, 0);
     rchoice.par_iter_mut().enumerate().for_each(|(i, slot)| {
         let mut rng = SplitMix64::stream(seed, i as u64);
         let adj = csr.row(i);
-        let total: f64 = adj.iter().map(|&j| dc[j as usize]).sum();
-        *slot = sample_neighbor(adj, dc, total, &mut rng);
+        debug_assert_total(adj, dc, row_sums[i]);
+        *slot = sample_neighbor(adj, dc, row_sums[i], &mut rng);
     });
     cchoice.resize(g.ncols(), 0);
     cchoice.par_iter_mut().enumerate().for_each(|(j, slot)| {
         let mut rng = SplitMix64::stream(seed, (n_r + j) as u64);
         let adj = csc.row(j);
-        let total: f64 = adj.iter().map(|&i| dr[i as usize]).sum();
-        *slot = sample_neighbor(adj, dr, total, &mut rng);
+        debug_assert_total(adj, dr, col_sums[j]);
+        *slot = sample_neighbor(adj, dr, col_sums[j], &mut rng);
     });
 }
 
@@ -211,6 +215,18 @@ mod tests {
             assert_ne!(i, NIL);
             assert!(g.csr().contains(i as usize, j), "({i},{j}) not an edge");
         }
+    }
+
+    /// Factors edited after scaling no longer match the kept sums: debug
+    /// builds refuse to sample with the stale totals.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale sampling total")]
+    fn stale_scaling_sums_are_refused_in_debug_builds() {
+        let g = ring(64);
+        let mut s = sinkhorn_knopp(&g, &ScalingConfig::iterations(3));
+        s.dr[5] *= 2.0;
+        let _ = two_sided_choices(&g, &s, 1);
     }
 
     #[test]

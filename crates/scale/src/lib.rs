@@ -19,6 +19,34 @@
 //! Scaled entries are never materialized: `s_ij = dr[i] · dc[j]` (times
 //! `a_ij` in the weighted case) is recomputed on demand, exactly as in the
 //! paper's implementation.
+//!
+//! ## Sweeps and the sums a result keeps
+//!
+//! A *sweep* is one pass over every adjacency list of one side; on sparse
+//! inputs the sweeps are the whole cost. Iteration `k + 1`'s column sums
+//! `Σ_{i ∈ A_*j} dr[i]` are exactly the sums iteration `k`'s error check
+//! adds up, so [`sinkhorn_knopp_cancel_into`] forms them once: one CSC
+//! sweep writes the column sums and reduces the check of the factors it
+//! read, and only then does the next iteration commit `dc[j] = 1 / Σ`. The
+//! first iteration divides by the identity's column sums, which are the
+//! column degrees. `K` Sinkhorn–Knopp iterations therefore cost `2K`
+//! sweeps (a row sweep and a column sweep each; the last column sweep is
+//! the final check) where the textbook loop costs `3K`, and Ruiz likewise
+//! drops from `3K` to `2K`.
+//!
+//! Every producer of a [`ScalingResult`] leaves its
+//! [`row_sums`](ScalingResult::row_sums) and
+//! [`col_sums`](ScalingResult::col_sums) **bit-equal** to fresh
+//! adjacency-order sums of the final `dc` and `dr`. They are the totals the
+//! samplers of `TwoSidedMatch` and `OneSidedMatch` draw against, which
+//! therefore never re-sum an adjacency list.
+//!
+//! A cancelled call (a `*_cancel_into` entry point returning
+//! [`Cancelled`](dsmatch_graph::Cancelled)) leaves a result that describes
+//! exactly the iterations that completed — factors, sums, `iterations`,
+//! `error` and `history` agree, and zero completed iterations leave the
+//! identity scaling — so a deadline-bounded scaling can still be sampled
+//! from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +64,8 @@ pub use sinkhorn::{
 };
 pub use symmetric::{symmetric_scaling, SymmetricScalingResult};
 
-use dsmatch_graph::BipartiteGraph;
+use dsmatch_graph::{BipartiteGraph, Csr};
+use rayon::prelude::*;
 
 /// Stopping rule for a scaling iteration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -72,12 +101,23 @@ impl Default for ScalingConfig {
 }
 
 /// Output of a scaling run.
+///
+/// Invariant kept by every producer: `row_sums` and `col_sums` are
+/// bit-equal to fresh adjacency-order sums of `dc` and `dr`. Editing `dr`
+/// or `dc` afterwards breaks it; the samplers check it in debug builds.
 #[derive(Clone, Debug)]
 pub struct ScalingResult {
     /// Row scaling factors (diagonal of `D_R`).
     pub dr: Vec<f64>,
     /// Column scaling factors (diagonal of `D_C`).
     pub dc: Vec<f64>,
+    /// `row_sums[i] = Σ_{j ∈ A_i*} dc[j]` in adjacency order: the last row
+    /// sweep's sums (after a Sinkhorn–Knopp iteration `dr[i]` is their
+    /// reciprocal) and the row sampler's totals.
+    pub row_sums: Vec<f64>,
+    /// `col_sums[j] = Σ_{i ∈ A_*j} dr[i]` in adjacency order: the sums the
+    /// final error check added up, and the column sampler's totals.
+    pub col_sums: Vec<f64>,
     /// Iterations actually performed.
     pub iterations: usize,
     /// Final scaling error `max_j |Σ_i s_ij − 1|`.
@@ -102,6 +142,8 @@ impl ScalingResult {
         Self {
             dr: Vec::new(),
             dc: Vec::new(),
+            row_sums: Vec::new(),
+            col_sums: Vec::new(),
             iterations: 0,
             error: f64::INFINITY,
             history: Vec::new(),
@@ -109,17 +151,20 @@ impl ScalingResult {
     }
 
     /// Reset this result to the identity scaling of `g` **in place**: the
-    /// `dr`/`dc`/`history` buffers are resized but keep their allocation
-    /// once they have grown to the instance size, so batch workloads stop
-    /// allocating per solve.
+    /// buffers are resized but keep their allocation once they have grown
+    /// to the instance size, so batch workloads stop allocating per solve.
+    /// The identity's sums are the degrees, so no adjacency list is read.
     pub fn reset_identity(&mut self, g: &BipartiteGraph) {
         self.dr.clear();
         self.dr.resize(g.nrows(), 1.0);
         self.dc.clear();
         self.dc.resize(g.ncols(), 1.0);
+        degree_sums(g.csr(), &mut self.row_sums);
+        degree_sums(g.csc(), &mut self.col_sums);
         self.history.clear();
         self.iterations = 0;
-        self.error = max_col_sum_error(g, &self.dr, &self.dc);
+        // `dc = 1`: the check `|col_sums[j]·dc[j] − 1|` is `|col_sums[j] − 1|`.
+        self.error = self.col_sums.par_iter().map(|&s| (s - 1.0).abs()).reduce(|| 0.0, f64::max);
     }
 
     /// Scaled entry `s_ij = dr[i] · dc[j]` (valid only where `a_ij = 1`).
@@ -141,10 +186,94 @@ impl ScalingResult {
     }
 }
 
+/// `Σ_{k ∈ adj} w[k]` in adjacency order — the order the samplers scan in.
+#[inline]
+fn adjacency_sum(adj: &[u32], w: &[f64]) -> f64 {
+    adj.iter().map(|&k| w[k as usize]).sum()
+}
+
+/// The identity's sums `Σ_{k ∈ adj.row(v)} 1.0` from the degrees alone,
+/// bit-equal to a sweep: a sum of `d ≥ 1` ones is `d` exactly, and an empty
+/// list gets the empty sum (whose sign of zero `Sum` fixes).
+fn degree_sums(adj: &Csr, sums: &mut Vec<f64>) {
+    let empty: f64 = std::iter::empty::<f64>().sum();
+    sums.resize(adj.nrows(), 0.0);
+    sums.par_iter_mut().enumerate().for_each(|(v, s)| {
+        let d = adj.row_degree(v);
+        *s = if d == 0 { empty } else { d as f64 };
+    });
+}
+
+/// One sweep over one side: `sums[v] ← Σ_{k ∈ adj.row(v)} w[k]`.
+fn sum_sweep(adj: &Csr, w: &[f64], sums: &mut Vec<f64>) {
+    // Every slot is overwritten, so resizing alone suffices.
+    sums.resize(adj.nrows(), 0.0);
+    sums.par_iter_mut().enumerate().for_each(|(v, s)| *s = adjacency_sum(adj.row(v), w));
+}
+
+/// One CSC sweep: `col_sums[j] ← Σ_{i ∈ A_*j} dr[i]`, returning the scaling
+/// error `max_j |col_sums[j]·dc[j] − 1|` of the factors it read.
+fn check_sweep(g: &BipartiteGraph, dr: &[f64], dc: &[f64], col_sums: &mut Vec<f64>) -> f64 {
+    col_sums.resize(g.ncols(), 0.0);
+    col_sums
+        .par_iter_mut()
+        .enumerate()
+        .map(|(j, s)| {
+            *s = adjacency_sum(g.col_adj(j), dr);
+            (*s * dc[j] - 1.0).abs()
+        })
+        .reduce(|| 0.0, f64::max)
+}
+
+/// Assertions the kernel tests share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The sums invariant: `row_sums`/`col_sums` bit-equal to fresh
+    /// adjacency-order sums of the result's own `dc`/`dr`.
+    pub fn assert_sums_fresh(g: &BipartiteGraph, s: &ScalingResult, context: &str) {
+        let rows: Vec<f64> =
+            (0..g.nrows()).map(|i| g.row_adj(i).iter().map(|&j| s.dc[j as usize]).sum()).collect();
+        let cols: Vec<f64> =
+            (0..g.ncols()).map(|j| g.col_adj(j).iter().map(|&i| s.dr[i as usize]).sum()).collect();
+        assert_eq!(bits(&s.row_sums), bits(&rows), "{context}: row_sums are stale");
+        assert_eq!(bits(&s.col_sums), bits(&cols), "{context}: col_sums are stale");
+    }
+
+    /// Every field of `s` equals the identity scaling of `g` — what a call
+    /// that completed no iteration must leave behind.
+    pub fn assert_identity(g: &BipartiteGraph, s: &ScalingResult, context: &str) {
+        let id = ScalingResult::identity(g);
+        assert_eq!(s.iterations, 0, "{context}: iterations");
+        assert_eq!(s.error.to_bits(), id.error.to_bits(), "{context}: error");
+        assert!(s.history.is_empty(), "{context}: history {:?}", s.history);
+        assert_eq!(s.dr, id.dr, "{context}: dr");
+        assert_eq!(s.dc, id.dc, "{context}: dc");
+        assert_sums_fresh(g, s, context);
+    }
+
+    /// `a` and `b` agree bit for bit in every field.
+    pub fn assert_same(a: &ScalingResult, b: &ScalingResult, context: &str) {
+        assert_eq!(bits(&a.dr), bits(&b.dr), "{context}: dr");
+        assert_eq!(bits(&a.dc), bits(&b.dc), "{context}: dc");
+        assert_eq!(bits(&a.row_sums), bits(&b.row_sums), "{context}: row_sums");
+        assert_eq!(bits(&a.col_sums), bits(&b.col_sums), "{context}: col_sums");
+        assert_eq!(a.iterations, b.iterations, "{context}: iterations");
+        assert_eq!(a.error.to_bits(), b.error.to_bits(), "{context}: error");
+        assert_eq!(bits(&a.history), bits(&b.history), "{context}: history");
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::assert_sums_fresh;
     use super::*;
-    use dsmatch_graph::Csr;
+    use dsmatch_graph::{CancelToken, Csr};
 
     #[test]
     fn config_constructors() {
@@ -167,5 +296,61 @@ mod tests {
         // Error of the unscaled all-ones 2×2: |2 − 1| = 1.
         assert_eq!(r.error, 1.0);
         assert_eq!(r.iterations, 0);
+        assert_eq!(r.row_sums, vec![2.0, 2.0]);
+        assert_eq!(r.col_sums, vec![2.0, 2.0]);
+    }
+
+    /// Every producer of a `ScalingResult` leaves `row_sums`/`col_sums`
+    /// bit-equal to fresh sums of its factors: at zero iterations, after a
+    /// run, at a tolerance stop, after a cancelled call, and in one slot
+    /// reused across a larger graph and then a smaller one.
+    #[test]
+    fn every_producer_keeps_sums_fresh() {
+        // `er` has empty rows and columns; `mesh` has total support, so a
+        // tolerance stops it early.
+        let graphs = [
+            ("er", dsmatch_gen::erdos_renyi_square(3_000, 1.5, 5)),
+            ("mesh", dsmatch_gen::grid_mesh(40, 50)),
+            ("small", dsmatch_gen::erdos_renyi_rect(300, 200, 3.0, 6)),
+        ];
+        let configs = [
+            ScalingConfig::iterations(0),
+            ScalingConfig::iterations(1),
+            ScalingConfig::iterations(6),
+            ScalingConfig::until(1e-3, 40),
+        ];
+        let dead = CancelToken::unbounded();
+        dead.cancel();
+        let mut slot = ScalingResult::empty();
+        for (name, g) in &graphs {
+            assert_sums_fresh(g, &ScalingResult::identity(g), &format!("{name}: identity"));
+            slot.reset_identity(g);
+            assert_sums_fresh(g, &slot, &format!("{name}: reset_identity"));
+            for cfg in &configs {
+                let ctx = |kernel: &str| format!("{name}: {kernel} {cfg:?}");
+                assert_sums_fresh(g, &sinkhorn_knopp(g, cfg), &ctx("sinkhorn_knopp"));
+                assert_sums_fresh(g, &sinkhorn_knopp_seq(g, cfg), &ctx("sinkhorn_knopp_seq"));
+                let vals: Vec<f64> = (0..g.nnz()).map(|k| 1.0 + (k % 7) as f64).collect();
+                let weighted = sinkhorn_knopp_weighted(g, &vals, cfg);
+                assert_sums_fresh(g, &weighted, &ctx("sinkhorn_knopp_weighted"));
+                assert_sums_fresh(g, &ruiz(g, cfg), &ctx("ruiz"));
+                assert_sums_fresh(g, &ruiz_seq(g, cfg), &ctx("ruiz_seq"));
+                // One slot across every graph, larger first then smaller.
+                sinkhorn_knopp_into(g, cfg, &mut slot);
+                assert_sums_fresh(g, &slot, &ctx("sinkhorn_knopp_into"));
+                // The token is polled only before an iteration commits.
+                let polls = cfg.max_iterations > 0;
+                assert_eq!(sinkhorn_knopp_cancel_into(g, cfg, &mut slot, &dead).is_err(), polls);
+                assert_sums_fresh(g, &slot, &ctx("cancelled sinkhorn_knopp_cancel_into"));
+                ruiz_into(g, cfg, &mut slot);
+                assert_sums_fresh(g, &slot, &ctx("ruiz_into"));
+                assert_eq!(ruiz_cancel_into(g, cfg, &mut slot, &dead).is_err(), polls);
+                assert_sums_fresh(g, &slot, &ctx("cancelled ruiz_cancel_into"));
+            }
+        }
+        // The tolerance case really stopped early on the mesh.
+        let mesh = &graphs[1].1;
+        assert!(sinkhorn_knopp(mesh, &configs[3]).iterations < 40);
+        assert!(ruiz(mesh, &configs[3]).iterations < 40);
     }
 }

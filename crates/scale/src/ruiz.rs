@@ -12,8 +12,8 @@
 use dsmatch_graph::{BipartiteGraph, CancelToken, Cancelled};
 use rayon::prelude::*;
 
-use crate::sinkhorn::max_col_sum_error;
-use crate::{ScalingConfig, ScalingResult};
+use crate::sinkhorn::{fresh_sums, max_col_sum_error};
+use crate::{check_sweep, sum_sweep, ScalingConfig, ScalingResult};
 
 /// Parallel Ruiz equilibration in the 1-norm.
 ///
@@ -22,6 +22,11 @@ use crate::{ScalingConfig, ScalingResult};
 /// r_i = Σ_j s_ij,  c_j = Σ_i s_ij          (current scaled sums)
 /// dr[i] ← dr[i] / √r_i,  dc[j] ← dc[j] / √c_j
 /// ```
+///
+/// `r_i = dr[i]·row_sums[i]` and `c_j = dc[j]·col_sums[j]`, and the previous
+/// iteration's row sweep and error check already formed those sums (the
+/// first iteration's are the degrees), so an iteration costs one sweep per
+/// side: `2K` sweeps for `K` iterations.
 pub fn ruiz(g: &BipartiteGraph, cfg: &ScalingConfig) -> ScalingResult {
     let mut out = ScalingResult::empty();
     ruiz_into(g, cfg, &mut out);
@@ -35,62 +40,45 @@ pub fn ruiz_into(g: &BipartiteGraph, cfg: &ScalingConfig, out: &mut ScalingResul
     ruiz_cancel_into(g, cfg, out, &CancelToken::unbounded()).expect("unbounded token never cancels")
 }
 
-/// [`ruiz_into`] with cooperative cancellation: the token is polled once
-/// per iteration. On [`Cancelled`] the factors in `out` are whatever the
-/// completed iterations produced, and the buffers stay reusable.
+/// [`ruiz_into`] with cooperative cancellation: the token is polled before
+/// each iteration commits anything, i.e. after the previous iteration's
+/// check sweep. On [`Cancelled`] — as on every return — `out` describes
+/// exactly the iterations that completed (the identity scaling when none
+/// did), and the buffers stay reusable.
 pub fn ruiz_cancel_into(
     g: &BipartiteGraph,
     cfg: &ScalingConfig,
     out: &mut ScalingResult,
     token: &CancelToken,
 ) -> Result<(), Cancelled> {
-    out.dr.clear();
-    out.dr.resize(g.nrows(), 1.0);
-    out.dc.clear();
-    out.dc.resize(g.ncols(), 1.0);
-    out.history.clear();
-    let mut error = f64::INFINITY;
-    let mut done = 0usize;
-    for _ in 0..cfg.max_iterations {
-        token.check()?;
-        let (dr, dc) = (&out.dr, &out.dc);
-        let rsums: Vec<f64> = (0..g.nrows())
-            .into_par_iter()
-            .map(|i| {
-                let s: f64 = g.row_adj(i).iter().map(|&j| dc[j as usize]).sum();
-                s * dr[i]
-            })
-            .collect();
-        let csums: Vec<f64> = (0..g.ncols())
-            .into_par_iter()
-            .map(|j| {
-                let s: f64 = g.col_adj(j).iter().map(|&i| dr[i as usize]).sum();
-                s * dc[j]
-            })
-            .collect();
-        out.dr.par_iter_mut().zip(rsums.par_iter()).for_each(|(d, &r)| {
+    out.reset_identity(g);
+    let mut polled = Ok(());
+    while out.iterations < cfg.max_iterations {
+        polled = token.check();
+        if polled.is_err() {
+            break;
+        }
+        out.dr.par_iter_mut().zip(out.row_sums.par_iter()).for_each(|(d, &s)| {
+            let r = s * *d;
             if r > 0.0 {
                 *d /= r.sqrt();
             }
         });
-        out.dc.par_iter_mut().zip(csums.par_iter()).for_each(|(d, &c)| {
+        out.dc.par_iter_mut().zip(out.col_sums.par_iter()).for_each(|(d, &s)| {
+            let c = s * *d;
             if c > 0.0 {
                 *d /= c.sqrt();
             }
         });
-        done += 1;
-        error = max_col_sum_error(g, &out.dr, &out.dc);
-        out.history.push(error);
-        if cfg.tolerance > 0.0 && error <= cfg.tolerance {
+        sum_sweep(g.csr(), &out.dc, &mut out.row_sums);
+        out.error = check_sweep(g, &out.dr, &out.dc, &mut out.col_sums);
+        out.history.push(out.error);
+        out.iterations += 1;
+        if cfg.tolerance > 0.0 && out.error <= cfg.tolerance {
             break;
         }
     }
-    if done == 0 {
-        error = max_col_sum_error(g, &out.dr, &out.dc);
-    }
-    out.iterations = done;
-    out.error = error;
-    Ok(())
+    polled
 }
 
 /// Sequential Ruiz — identical arithmetic to [`ruiz`].
@@ -132,7 +120,8 @@ pub fn ruiz_seq(g: &BipartiteGraph, cfg: &ScalingConfig) -> ScalingResult {
     if done == 0 {
         error = max_col_sum_error(g, &dr, &dc);
     }
-    ScalingResult { dr, dc, iterations: done, error, history }
+    let (row_sums, col_sums) = fresh_sums(g, &dr, &dc);
+    ScalingResult { dr, dc, row_sums, col_sums, iterations: done, error, history }
 }
 
 #[cfg(test)]
@@ -171,6 +160,19 @@ mod tests {
             assert!((x - y).abs() < 1e-14);
         }
         assert_eq!(a.iterations, b.iterations);
+        // The fused kernel against the textbook loop, bit for bit in every
+        // field, with empty rows and columns and at a tolerance stop.
+        for g in [dsmatch_gen::erdos_renyi_square(2_000, 1.5, 9), dsmatch_gen::grid_mesh(30, 40)] {
+            for cfg in [
+                ScalingConfig::iterations(0),
+                ScalingConfig::iterations(1),
+                ScalingConfig::iterations(7),
+                ScalingConfig::until(1e-4, 60),
+            ] {
+                let (fused, textbook) = (ruiz(&g, &cfg), ruiz_seq(&g, &cfg));
+                crate::testing::assert_same(&fused, &textbook, &format!("{cfg:?}"));
+            }
+        }
     }
 
     #[test]
@@ -205,16 +207,18 @@ mod tests {
 
     #[test]
     fn cancel_refuses_dead_token_and_slot_stays_reusable() {
-        let g = graph(&[&[1, 1], &[1, 1]]);
-        let cfg = ScalingConfig::iterations(4);
+        use crate::testing::{assert_identity, assert_same};
+        let g = dsmatch_gen::erdos_renyi_square(1000, 4.0, 3);
+        let cfg = ScalingConfig::iterations(5);
         let dead = CancelToken::unbounded();
         dead.cancel();
         let mut out = ScalingResult::empty();
+        // A live run first, so a stale field would show.
+        ruiz_into(&g, &cfg, &mut out);
         assert!(ruiz_cancel_into(&g, &cfg, &mut out, &dead).is_err());
+        // No iteration completed: every field describes the identity.
+        assert_identity(&g, &out, "cancelled before the first iteration");
         ruiz_cancel_into(&g, &cfg, &mut out, &CancelToken::unbounded()).expect("live token");
-        let fresh = ruiz(&g, &cfg);
-        assert_eq!(out.dr, fresh.dr);
-        assert_eq!(out.dc, fresh.dc);
-        assert_eq!(out.iterations, fresh.iterations);
+        assert_same(&out, &ruiz(&g, &cfg), "reused slot");
     }
 }

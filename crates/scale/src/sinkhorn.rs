@@ -11,13 +11,19 @@
 //! (modulo round-off), so the convergence measure is the maximum deviation
 //! of the *column* sums from one.
 //!
+//! The column pass of iteration `k + 1` divides by the very sums iteration
+//! `k`'s check adds up, so the parallel kernel fuses them: one CSC sweep
+//! stores `Σ_{i ∈ A_*j} dr[i]` and reduces the check, and an O(n) pass then
+//! commits `dc[j]` from the stored sums (the first iteration's sums are the
+//! column degrees) — `2K` sweeps for `K` iterations instead of `3K`.
+//!
 //! Vertices with zero degree (possible in sprank-deficient inputs) keep
 //! their scaling factor — their value never influences any sampled entry.
 
 use dsmatch_graph::{BipartiteGraph, CancelToken, Cancelled};
 use rayon::prelude::*;
 
-use crate::{ScalingConfig, ScalingResult};
+use crate::{adjacency_sum, check_sweep, sum_sweep, ScalingConfig, ScalingResult};
 
 /// Minimum column sum of the scaled matrix over non-empty columns — the
 /// `α` of the paper's §3.3 relaxation: if every column sum is ≥ α after a
@@ -42,24 +48,6 @@ pub fn max_col_sum_error(g: &BipartiteGraph, dr: &[f64], dc: &[f64]) -> f64 {
         .reduce(|| 0.0, f64::max)
 }
 
-fn sk_col_pass_par(g: &BipartiteGraph, dr: &[f64], dc: &mut [f64]) {
-    dc.par_iter_mut().enumerate().for_each(|(j, dcj)| {
-        let csum: f64 = g.col_adj(j).iter().map(|&i| dr[i as usize]).sum();
-        if csum > 0.0 {
-            *dcj = 1.0 / csum;
-        }
-    });
-}
-
-fn sk_row_pass_par(g: &BipartiteGraph, dr: &mut [f64], dc: &[f64]) {
-    dr.par_iter_mut().enumerate().for_each(|(i, dri)| {
-        let rsum: f64 = g.row_adj(i).iter().map(|&j| dc[j as usize]).sum();
-        if rsum > 0.0 {
-            *dri = 1.0 / rsum;
-        }
-    });
-}
-
 /// Parallel Sinkhorn–Knopp (paper Algorithm 1). Runs in the current Rayon
 /// thread pool; install a sized pool to control thread count as the paper's
 /// experiments do.
@@ -81,53 +69,63 @@ pub fn sinkhorn_knopp(g: &BipartiteGraph, cfg: &ScalingConfig) -> ScalingResult 
 }
 
 /// Buffer-reuse variant of [`sinkhorn_knopp`]: identical arithmetic, but
-/// the `dr`/`dc`/`history` vectors of `out` are reset and refilled in place.
-/// After the first solve on a given shape the buffers stop growing, so
-/// repeated solves on same-shaped instances perform no scaling allocation.
+/// the vectors of `out` are reset and refilled in place. After the first
+/// solve on a given shape the buffers stop growing, so repeated solves on
+/// same-shaped instances perform no scaling allocation.
 pub fn sinkhorn_knopp_into(g: &BipartiteGraph, cfg: &ScalingConfig, out: &mut ScalingResult) {
     sinkhorn_knopp_cancel_into(g, cfg, out, &CancelToken::unbounded())
         .expect("unbounded token never cancels")
 }
 
 /// [`sinkhorn_knopp_into`] with cooperative cancellation: the token is
-/// polled once per scaling iteration. On [`Cancelled`] the factors in
-/// `out` are whatever the completed iterations produced — numerically
-/// valid, just not converged — and the buffers stay reusable.
+/// polled before each iteration commits anything, i.e. after the previous
+/// iteration's check sweep. On [`Cancelled`] — as on every return — `out`
+/// describes exactly the iterations that completed (the identity scaling
+/// when none did): the factors, the sums, `iterations`, `error` and
+/// `history` agree, and the buffers stay reusable.
 pub fn sinkhorn_knopp_cancel_into(
     g: &BipartiteGraph,
     cfg: &ScalingConfig,
     out: &mut ScalingResult,
     token: &CancelToken,
 ) -> Result<(), Cancelled> {
-    out.dr.clear();
-    out.dr.resize(g.nrows(), 1.0);
-    out.dc.clear();
-    out.dc.resize(g.ncols(), 1.0);
-    out.history.clear();
-    let mut error = f64::INFINITY;
-    let mut done = 0usize;
-    for _ in 0..cfg.max_iterations {
-        token.check()?;
-        sk_col_pass_par(g, &out.dr, &mut out.dc);
-        sk_row_pass_par(g, &mut out.dr, &out.dc);
-        done += 1;
-        error = max_col_sum_error(g, &out.dr, &out.dc);
-        out.history.push(error);
-        if cfg.tolerance > 0.0 && error <= cfg.tolerance {
+    // The identity's `col_sums` are the sums the first iteration divides by.
+    out.reset_identity(g);
+    let mut polled = Ok(());
+    while out.iterations < cfg.max_iterations {
+        polled = token.check();
+        if polled.is_err() {
+            break;
+        }
+        out.dc.par_iter_mut().zip(out.col_sums.par_iter()).for_each(|(dcj, &csum)| {
+            if csum > 0.0 {
+                *dcj = 1.0 / csum;
+            }
+        });
+        let dc = &out.dc;
+        out.dr.par_iter_mut().zip(out.row_sums.par_iter_mut()).enumerate().for_each(
+            |(i, (dri, rsum))| {
+                *rsum = adjacency_sum(g.row_adj(i), dc);
+                if *rsum > 0.0 {
+                    *dri = 1.0 / *rsum;
+                }
+            },
+        );
+        out.error = check_sweep(g, &out.dr, &out.dc, &mut out.col_sums);
+        out.history.push(out.error);
+        out.iterations += 1;
+        if cfg.tolerance > 0.0 && out.error <= cfg.tolerance {
             break;
         }
     }
-    if done == 0 {
-        error = max_col_sum_error(g, &out.dr, &out.dc);
-    }
-    out.iterations = done;
-    out.error = error;
-    Ok(())
+    polled
 }
 
-/// Sequential Sinkhorn–Knopp — identical arithmetic to [`sinkhorn_knopp`]
-/// (the parallel passes are embarrassingly parallel and order-independent,
-/// so both versions produce bitwise-identical factors; tests rely on this).
+/// Sequential Sinkhorn–Knopp — the textbook unfused loop (column pass, row
+/// pass, error check), identical arithmetic to [`sinkhorn_knopp`]: the
+/// parallel passes are order-independent per vertex, so both versions
+/// produce bitwise-identical factors, sums, errors and histories; tests
+/// rely on this.
 pub fn sinkhorn_knopp_seq(g: &BipartiteGraph, cfg: &ScalingConfig) -> ScalingResult {
     let mut dr = vec![1.0f64; g.nrows()];
     let mut dc = vec![1.0f64; g.ncols()];
@@ -162,7 +160,15 @@ pub fn sinkhorn_knopp_seq(g: &BipartiteGraph, cfg: &ScalingConfig) -> ScalingRes
     if done == 0 {
         error = max_col_sum_error(g, &dr, &dc);
     }
-    ScalingResult { dr, dc, iterations: done, error, history }
+    let (row_sums, col_sums) = fresh_sums(g, &dr, &dc);
+    ScalingResult { dr, dc, row_sums, col_sums, iterations: done, error, history }
+}
+
+/// Sequentially computed `(row_sums, col_sums)` of the factors `dr`, `dc`.
+pub(crate) fn fresh_sums(g: &BipartiteGraph, dr: &[f64], dc: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let row_sums = (0..g.nrows()).map(|i| adjacency_sum(g.row_adj(i), dc)).collect();
+    let col_sums = (0..g.ncols()).map(|j| adjacency_sum(g.col_adj(j), dr)).collect();
+    (row_sums, col_sums)
 }
 
 /// Weighted Sinkhorn–Knopp for a general non-negative value array.
@@ -170,6 +176,9 @@ pub fn sinkhorn_knopp_seq(g: &BipartiteGraph, cfg: &ScalingConfig) -> ScalingRes
 /// `vals` holds one value per stored entry of `g.csr()`, in row-major entry
 /// order. This extends the paper's (0,1) setting to arbitrary non-negative
 /// matrices with total support (e.g. for weighted-matching experiments).
+/// The result's `row_sums`/`col_sums` are the *pattern* sums of the final
+/// factors — the totals the (0,1) samplers draw against — which cost one
+/// extra sweep per side.
 pub fn sinkhorn_knopp_weighted(
     g: &BipartiteGraph,
     vals: &[f64],
@@ -239,7 +248,13 @@ pub fn sinkhorn_knopp_weighted(
     if done == 0 {
         error = col_error(&dr, &dc);
     }
-    ScalingResult { dr, dc, iterations: done, error, history }
+    // The samplers read the pattern's sums: within a row the weight of
+    // neighbour `j` is `dc[j]`, whatever the values.
+    let mut out =
+        ScalingResult { dr, dc, iterations: done, error, history, ..ScalingResult::empty() };
+    sum_sweep(g.csr(), &out.dc, &mut out.row_sums);
+    sum_sweep(g.csc(), &out.dr, &mut out.col_sums);
+    out
 }
 
 #[cfg(test)]
@@ -300,6 +315,21 @@ mod tests {
         assert_eq!(a.dr, b.dr);
         assert_eq!(a.dc, b.dc);
         assert_eq!(a.error, b.error);
+        // The fused kernel against the textbook loop in every field, with
+        // empty rows and columns, at the iteration cap and at a tolerance
+        // stop.
+        for g in [dsmatch_gen::erdos_renyi_square(2_000, 1.5, 9), dsmatch_gen::grid_mesh(30, 40)] {
+            for cfg in [
+                ScalingConfig::iterations(0),
+                ScalingConfig::iterations(1),
+                ScalingConfig::iterations(7),
+                ScalingConfig::until(1e-4, 60),
+            ] {
+                let context = format!("{cfg:?}");
+                let (fused, textbook) = (sinkhorn_knopp(&g, &cfg), sinkhorn_knopp_seq(&g, &cfg));
+                crate::testing::assert_same(&fused, &textbook, &context);
+            }
+        }
     }
 
     #[test]
@@ -374,19 +404,21 @@ mod tests {
 
     #[test]
     fn cancel_refuses_dead_token_and_slot_stays_reusable() {
-        let g = graph(&[&[1, 1, 0], &[1, 1, 1], &[0, 1, 1]]);
+        use crate::testing::{assert_identity, assert_same};
+        let g = dsmatch_gen::erdos_renyi_square(1000, 4.0, 3);
         let cfg = ScalingConfig::iterations(5);
         let dead = CancelToken::unbounded();
         dead.cancel();
         let mut out = ScalingResult::empty();
+        // A live run first, so a stale field would show.
+        sinkhorn_knopp_into(&g, &cfg, &mut out);
         assert!(sinkhorn_knopp_cancel_into(&g, &cfg, &mut out, &dead).is_err());
+        // No iteration completed: every field describes the identity.
+        assert_identity(&g, &out, "cancelled before the first iteration");
         // The same slot then reproduces a fresh run exactly — cancellation
-        // leaves the factor buffers reusable, not poisoned.
+        // leaves the buffers reusable, not poisoned.
         sinkhorn_knopp_cancel_into(&g, &cfg, &mut out, &CancelToken::unbounded())
             .expect("live token");
-        let fresh = sinkhorn_knopp(&g, &cfg);
-        assert_eq!(out.dr, fresh.dr);
-        assert_eq!(out.dc, fresh.dc);
-        assert_eq!(out.iterations, fresh.iterations);
+        assert_same(&out, &sinkhorn_knopp(&g, &cfg), "reused slot");
     }
 }

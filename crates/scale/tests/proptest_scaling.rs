@@ -1,11 +1,23 @@
 //! Property tests for the scaling crate.
 
-use dsmatch_graph::{BipartiteGraph, TripletMatrix, UndirectedGraph};
+use dsmatch_graph::{BipartiteGraph, CancelToken, TripletMatrix, UndirectedGraph};
 use dsmatch_scale::{
-    ruiz, sinkhorn_knopp, sinkhorn_knopp_seq, sinkhorn_knopp_weighted, symmetric_scaling,
-    ScalingConfig,
+    ruiz, ruiz_cancel_into, ruiz_into, ruiz_seq, sinkhorn_knopp, sinkhorn_knopp_cancel_into,
+    sinkhorn_knopp_into, sinkhorn_knopp_seq, sinkhorn_knopp_weighted, symmetric_scaling,
+    ScalingConfig, ScalingResult,
 };
 use proptest::prelude::*;
+
+/// `s.row_sums`/`s.col_sums` bit-equal to fresh adjacency-order sums of
+/// `s.dc`/`s.dr` — the invariant the samplers rely on.
+fn sums_are_fresh(g: &BipartiteGraph, s: &ScalingResult) -> bool {
+    let rows = (0..g.nrows())
+        .map(|i| g.row_adj(i).iter().map(|&j| s.dc[j as usize]).sum::<f64>().to_bits());
+    let cols = (0..g.ncols())
+        .map(|j| g.col_adj(j).iter().map(|&i| s.dr[i as usize]).sum::<f64>().to_bits());
+    s.row_sums.iter().map(|x| x.to_bits()).eq(rows)
+        && s.col_sums.iter().map(|x| x.to_bits()).eq(cols)
+}
 
 fn arb_graph() -> impl Strategy<Value = BipartiteGraph> {
     (1usize..10, 1usize..10).prop_flat_map(|(m, n)| {
@@ -43,6 +55,43 @@ proptest! {
         let b = sinkhorn_knopp_seq(&g, &ScalingConfig::iterations(iters));
         prop_assert_eq!(a.dr, b.dr);
         prop_assert_eq!(a.dc, b.dc);
+        prop_assert_eq!(a.error.to_bits(), b.error.to_bits());
+        prop_assert_eq!(a.history, b.history);
+    }
+
+    /// Every `ScalingResult` producer keeps the sums fresh — at zero
+    /// iterations, at the cap, at a tolerance stop and after a cancelled
+    /// call — including one slot reused across two graphs of any shapes.
+    #[test]
+    fn every_producer_keeps_sums_fresh(
+        g in arb_graph(),
+        h in arb_graph(),
+        iters in 0usize..6,
+        tol in 0usize..3,
+    ) {
+        let cfg = ScalingConfig::until([0.0, 1e-3, 0.5][tol], iters);
+        let vals: Vec<f64> = (0..g.nnz()).map(|k| 0.5 + (k % 3) as f64).collect();
+        prop_assert!(sums_are_fresh(&g, &ScalingResult::identity(&g)));
+        prop_assert!(sums_are_fresh(&g, &sinkhorn_knopp(&g, &cfg)));
+        prop_assert!(sums_are_fresh(&g, &sinkhorn_knopp_seq(&g, &cfg)));
+        prop_assert!(sums_are_fresh(&g, &sinkhorn_knopp_weighted(&g, &vals, &cfg)));
+        prop_assert!(sums_are_fresh(&g, &ruiz(&g, &cfg)));
+        prop_assert!(sums_are_fresh(&g, &ruiz_seq(&g, &cfg)));
+        let dead = CancelToken::unbounded();
+        dead.cancel();
+        let mut slot = ScalingResult::empty();
+        for graph in [&g, &h] {
+            slot.reset_identity(graph);
+            prop_assert!(sums_are_fresh(graph, &slot));
+            sinkhorn_knopp_into(graph, &cfg, &mut slot);
+            prop_assert!(sums_are_fresh(graph, &slot));
+            let _ = sinkhorn_knopp_cancel_into(graph, &cfg, &mut slot, &dead);
+            prop_assert!(sums_are_fresh(graph, &slot));
+            ruiz_into(graph, &cfg, &mut slot);
+            prop_assert!(sums_are_fresh(graph, &slot));
+            let _ = ruiz_cancel_into(graph, &cfg, &mut slot, &dead);
+            prop_assert!(sums_are_fresh(graph, &slot));
+        }
     }
 
     #[test]

@@ -893,17 +893,18 @@ impl<P: Producer> ParIter<P> {
         drive(self, |mut it| it.any(&pred)).into_iter().any(|b| b)
     }
 
-    /// Collect into any `FromIterator` collection, preserving element
-    /// order.
+    /// Collect into any [`FromParallelIterator`] collection, preserving
+    /// element order.
     pub fn collect<C>(self) -> C
     where
-        C: FromIterator<P::Item>,
+        C: FromParallelIterator<P::Item>,
     {
-        drive(self, |it| it.collect::<Vec<_>>()).into_iter().flatten().collect()
+        C::from_par_iter(self)
     }
 
     /// Collect into a caller-provided `Vec`, replacing its contents while
-    /// reusing its allocation.
+    /// reusing its allocation. The target is sized once, from the chunk
+    /// lengths, and filled by appending whole chunks.
     pub fn collect_into_vec(self, target: &mut Vec<P::Item>) {
         target.clear();
         let len = self.producer.len_hint();
@@ -912,9 +913,28 @@ impl<P: Producer> ParIter<P> {
             target.extend(self.producer.into_seq());
             return;
         }
-        for mut chunk in drive(self, |it| it.collect::<Vec<_>>()) {
+        let chunks = drive(self, |it| it.collect::<Vec<_>>());
+        target.reserve_exact(chunks.iter().map(Vec::len).sum());
+        for mut chunk in chunks {
             target.append(&mut chunk);
         }
+    }
+}
+
+/// Mirror of `rayon::iter::FromParallelIterator`: a collection that
+/// [`ParIter::collect`] can build, in element order.
+pub trait FromParallelIterator<T: Send> {
+    /// Build the collection from every element of `par`.
+    fn from_par_iter<P: Producer<Item = T>>(par: ParIter<P>) -> Self;
+}
+
+impl<T: Send> FromParallelIterator<T> for Vec<T> {
+    /// Via [`ParIter::collect_into_vec`]: one allocation of the exact
+    /// length, whole chunks appended.
+    fn from_par_iter<P: Producer<Item = T>>(par: ParIter<P>) -> Self {
+        let mut out = Vec::new();
+        par.collect_into_vec(&mut out);
+        out
     }
 }
 
@@ -999,6 +1019,28 @@ mod tests {
         let v: Vec<usize> = pool.install(|| (0..30_000usize).into_par_iter().map(|x| x).collect());
         assert_eq!(v.len(), 30_000);
         assert!(v.iter().enumerate().all(|(k, &x)| k == x));
+    }
+
+    #[test]
+    fn collect_sizes_its_vec_once_and_keeps_order_across_chunk_boundaries() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let big = DEFAULT_CHUNK * MAX_CHUNKS;
+        for len in [
+            DEFAULT_CHUNK - 1,
+            DEFAULT_CHUNK,
+            DEFAULT_CHUNK + 1,
+            2 * DEFAULT_CHUNK - 1,
+            2 * DEFAULT_CHUNK,
+            2 * DEFAULT_CHUNK + 1,
+            big - 1,
+            big,
+            big + 1,
+        ] {
+            let v: Vec<u32> = pool.install(|| (0..len as u32).into_par_iter().collect());
+            assert_eq!(v.len(), len);
+            assert_eq!(v.capacity(), len, "collect of {len} elements over-allocated");
+            assert!(v.iter().enumerate().all(|(k, &x)| k as u32 == x), "order at {len}");
+        }
     }
 
     #[test]

@@ -75,8 +75,8 @@ pub(crate) fn test_timeout(default_secs: u64) -> std::time::Duration {
 /// Glob-import target mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::iter::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelSlice,
-        ParallelSliceMut,
+        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
+        IntoParallelRefMutIterator, ParallelSlice, ParallelSliceMut,
     };
 }
 

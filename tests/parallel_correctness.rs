@@ -403,6 +403,143 @@ fn finisher_mates_and_stats_are_pinned() {
     }
 }
 
+/// FNV-1a over the bits of a scaling result and the two choice arrays
+/// sampled from it: `dr`, `dc`, `history`, `error`, `rchoice`, `cchoice`.
+fn scaling_fingerprint(s: &ScalingResult, rchoice: &[u32], cchoice: &[u32]) -> u64 {
+    let floats = s.dr.iter().chain(&s.dc).chain(&s.history).chain([&s.error]);
+    floats
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .chain(rchoice.iter().chain(cchoice).flat_map(|m| m.to_le_bytes()))
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Golden outputs of the scaling kernels and of the two-sided sampler fed
+/// by them, at pools 1, 2 and 4: every factor, error and history bit and
+/// both choice arrays, for Sinkhorn–Knopp and Ruiz at 0, 1 and 5
+/// iterations and at a tolerance stop, on a uniform ER instance, a sparse
+/// one with empty rows and columns (both run the tolerance case to its
+/// cap) and a mesh with total support (where the tolerance stops the
+/// iteration early). The heuristic-stage cardinalities of four sampling
+/// pipelines and the weight bits of a scaled `suitor` solve are pinned
+/// alongside. A kernel rewrite that moves a single bit fails here.
+#[test]
+fn scaling_and_choices_are_pinned() {
+    use dsmatch::engine::{Pipeline, Solver, Workspace};
+    use dsmatch::heur::two_sided_choices_into;
+    use dsmatch::scale::{ruiz_into, sinkhorn_knopp_into};
+
+    type ScaleInto = fn(&BipartiteGraph, &ScalingConfig, &mut ScalingResult);
+    let kernels: [(&str, ScaleInto); 2] = [("sk", sinkhorn_knopp_into), ("ruiz", ruiz_into)];
+    let configs = [
+        ("0", ScalingConfig::iterations(0)),
+        ("1", ScalingConfig::iterations(1)),
+        ("5", ScalingConfig::iterations(5)),
+        ("tol", ScalingConfig::until(1e-3, 50)),
+    ];
+    let instances = [
+        ("er8", dsmatch::gen::erdos_renyi_square(20_000, 8.0, 1)),
+        ("er1.5", dsmatch::gen::erdos_renyi_square(30_000, 1.5, 3)),
+        ("mesh", dsmatch::gen::grid_mesh(120, 150)),
+    ];
+    // (instance, kernel, config, iterations, fingerprint)
+    let expected: &[(&str, &str, &str, usize, u64)] = &[
+        ("er8", "sk", "0", 0, 9216069782835618564),
+        ("er8", "sk", "1", 1, 4276356660137018053),
+        ("er8", "sk", "5", 5, 13859308851010430433),
+        ("er8", "sk", "tol", 50, 16365482715577510851),
+        ("er8", "ruiz", "0", 0, 9216069782835618564),
+        ("er8", "ruiz", "1", 1, 5889786392489085532),
+        ("er8", "ruiz", "5", 5, 5250968450019945130),
+        ("er8", "ruiz", "tol", 50, 13495076233114453993),
+        ("er1.5", "sk", "0", 0, 16104737173612108283),
+        ("er1.5", "sk", "1", 1, 3915920392326386827),
+        ("er1.5", "sk", "5", 5, 16931787695764305061),
+        ("er1.5", "sk", "tol", 50, 5413751019131397195),
+        ("er1.5", "ruiz", "0", 0, 16104737173612108283),
+        ("er1.5", "ruiz", "1", 1, 16882233817026701061),
+        ("er1.5", "ruiz", "5", 5, 15865727848721480182),
+        ("er1.5", "ruiz", "tol", 50, 3430219213710972600),
+        ("mesh", "sk", "0", 0, 4993165837965287423),
+        ("mesh", "sk", "1", 1, 7320785868361131043),
+        ("mesh", "sk", "5", 5, 18128879194327232015),
+        ("mesh", "sk", "tol", 21, 18291420616558742826),
+        ("mesh", "ruiz", "0", 0, 4993165837965287423),
+        ("mesh", "ruiz", "1", 1, 16687425128730619494),
+        ("mesh", "ruiz", "5", 5, 7744506004827458642),
+        ("mesh", "ruiz", "tol", 10, 4703608594845344000),
+    ];
+    let mut got = Vec::new();
+    for (name, g) in &instances {
+        for (kernel_name, kernel) in kernels {
+            for (cfg_name, cfg) in &configs {
+                let mut reference = None;
+                for t in [1usize, 2, 4] {
+                    let (mut s, mut rc, mut cc) = (ScalingResult::empty(), Vec::new(), Vec::new());
+                    pool(t).install(|| {
+                        kernel(g, cfg, &mut s);
+                        two_sided_choices_into(g, &s, 11, &mut rc, &mut cc);
+                    });
+                    let fingerprint = scaling_fingerprint(&s, &rc, &cc);
+                    let row = (*name, kernel_name, *cfg_name, s.iterations, fingerprint);
+                    match reference {
+                        None => reference = Some(row),
+                        Some(r) => assert_eq!(row, r, "differs at {t} threads"),
+                    }
+                }
+                got.extend(reference);
+            }
+        }
+    }
+    if got != expected {
+        let table: String = got.iter().map(|row| format!("        {row:?},\n")).collect();
+        panic!("scaling or choice outputs moved; observed:\n{table}");
+    }
+
+    // (instance, spec, heuristic-stage cardinality, weight bits)
+    let expected: &[(&str, &str, usize, Option<u64>)] = &[
+        ("er8", "scale:sk:5,two", 17423, None),
+        ("er8", "scale:sk:5,one", 13329, None),
+        ("er8", "two", 17065, None),
+        ("er8", "scale:ruiz:3,two", 17364, None),
+        ("er8", "scale:sk:5,suitor", 18923, Some(4660890648188726190)),
+        ("er1.5", "scale:sk:5,two", 20115, None),
+        ("er1.5", "scale:sk:5,one", 18910, None),
+        ("er1.5", "two", 19369, None),
+        ("er1.5", "scale:ruiz:3,two", 19598, None),
+        ("er1.5", "scale:sk:5,suitor", 20337, Some(4670390824571444112)),
+        ("mesh", "scale:sk:5,two", 15862, None),
+        ("mesh", "scale:sk:5,one", 12115, None),
+        ("mesh", "two", 15863, None),
+        ("mesh", "scale:ruiz:3,two", 15864, None),
+        ("mesh", "scale:sk:5,suitor", 17492, Some(4659985966776114884)),
+    ];
+    let mut got = Vec::new();
+    for (name, g) in &instances {
+        for spec in
+            ["scale:sk:5,two", "scale:sk:5,one", "two", "scale:ruiz:3,two", "scale:sk:5,suitor"]
+        {
+            let pipeline: Pipeline = spec.parse().unwrap();
+            let mut reference = None;
+            for t in [1usize, 2, 4] {
+                let report =
+                    pipeline.clone().with_seed(5).solve(g, &mut Workspace::with_threads(t));
+                report.matching.verify(g).unwrap();
+                let heuristic = report.stages.last().and_then(|s| s.cardinality);
+                let row = (*name, spec, heuristic.unwrap(), report.weight.map(f64::to_bits));
+                match reference {
+                    None => reference = Some(row),
+                    Some(r) => assert_eq!(row, r, "{spec} differs at {t} threads"),
+                }
+            }
+            got.extend(reference);
+        }
+    }
+    if got != expected {
+        let table: String = got.iter().map(|row| format!("        {row:?},\n")).collect();
+        panic!("pipeline outputs moved; observed:\n{table}");
+    }
+}
+
 /// `one_sided_match` under real pools: the matched-column set and the
 /// cardinality are a pure function of the seed; every schedule's matching
 /// is valid. (The winning row per column is a benign race by design.)
