@@ -88,8 +88,14 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, MmError> {
     let [nrows, ncols, nnz] = dims[..] else {
         return Err(parse_err(format!("size line must have 3 fields: {size_line:?}")));
     };
+    if nrows.max(ncols) >= u32::MAX as usize {
+        let max = u32::MAX - 1;
+        return Err(parse_err(format!("size {nrows}×{ncols} exceeds the largest supported {max}")));
+    }
 
-    let mut t = TripletMatrix::with_capacity(nrows, ncols, if symmetric { 2 * nnz } else { nnz });
+    // The entry count is checked against the entries actually read, not
+    // trusted up front: the buffer grows as they arrive.
+    let mut t = TripletMatrix::new(nrows, ncols);
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -194,6 +200,15 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n";
         let err = read_matrix_market(text.as_bytes()).unwrap_err();
         assert!(matches!(err, MmError::Parse(_)), "{err}");
+    }
+
+    #[test]
+    fn rejects_dimensions_beyond_u32_vertex_ids() {
+        for size in ["4294967295 3 0", "3 4294967295 0", "5000000000 3 1"] {
+            let text = format!("%%MatrixMarket matrix coordinate pattern general\n{size}\n");
+            let err = read_matrix_market(text.as_bytes()).unwrap_err();
+            assert!(matches!(err, MmError::Parse(_)), "{size}: {err}");
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! `null`. Integer literals parse into the exact variants ([`Json::Int`] /
 //! [`Json::UInt`]) rather than being routed through `f64`, so `u64::MAX`
 //! survives a round trip textually *and* structurally. Malformed input
-//! produces an error with a byte offset, never a panic.
+//! produces an error with a byte offset, never a panic; so does nesting
+//! deeper than 128 arrays and objects (serde_json's default recursion
+//! limit), which would otherwise overflow the stack of the reading thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -230,11 +232,15 @@ impl std::fmt::Display for Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse_json`] accepts. The
+/// parser recurses once per level, so this bounds its stack use.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed).
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -257,12 +263,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -346,7 +356,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -355,7 +365,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -368,7 +378,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(b, pos);
@@ -381,7 +391,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        pairs.push((key, parse_value(b, pos)?));
+        pairs.push((key, parse_value(b, pos, depth)?));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -478,5 +488,19 @@ mod tests {
         assert!(parse_json("\"unterminated").is_err());
         assert!(parse_json("").is_err());
         assert!(parse_json("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128_levels() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(parse_json(&nested(MAX_DEPTH, open, close)).is_ok(), "{open}");
+            let err = parse_json(&nested(MAX_DEPTH + 1, open, close)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{open}: {err}");
+        }
+        // Far past the cap: an error, not a stack overflow.
+        assert!(parse_json(&nested(50_000, "[", "]")).is_err());
     }
 }

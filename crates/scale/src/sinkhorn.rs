@@ -29,10 +29,11 @@ use crate::{adjacency_sum, check_sweep, sum_sweep, ScalingConfig, ScalingResult}
 /// `α` of the paper's §3.3 relaxation: if every column sum is ≥ α after a
 /// few iterations, `OneSidedMatch` still guarantees `n(1 − 1/e^α)`.
 pub fn min_col_sum(g: &BipartiteGraph, s: &crate::ScalingResult) -> f64 {
+    // An empty column maps to `+∞`, the identity of the reduce, so it
+    // drops out of the minimum without changing its bits.
     (0..g.ncols())
         .into_par_iter()
-        .filter(|&j| g.col_degree(j) > 0)
-        .map(|j| s.col_sum(g, j))
+        .map(|j| if g.col_degree(j) > 0 { s.col_sum(g, j) } else { f64::INFINITY })
         .reduce(|| f64::INFINITY, f64::min)
 }
 
@@ -365,6 +366,31 @@ mod tests {
         let r = sinkhorn_knopp(&g, &ScalingConfig::iterations(4));
         assert!(r.dr.iter().all(|d| d.is_finite()));
         assert!(r.dc.iter().all(|d| d.is_finite()));
+    }
+
+    #[test]
+    fn min_col_sum_is_the_min_over_non_empty_columns_at_every_pool_size() {
+        // An instance with empty rows and columns: the parallel reduce must
+        // skip the empty columns and match a sequential min bit for bit.
+        let g = dsmatch_gen::erdos_renyi_square(30_000, 1.5, 3);
+        assert!((0..g.ncols()).any(|j| g.col_degree(j) == 0), "no empty column");
+        assert!((0..g.nrows()).any(|i| g.row_degree(i) == 0), "no empty row");
+        let cfg = ScalingConfig::iterations(5);
+        for t in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(t).build().unwrap();
+            let (par, seq) = pool.install(|| {
+                let s = sinkhorn_knopp(&g, &cfg);
+                let seq = (0..g.ncols())
+                    .filter(|&j| g.col_degree(j) > 0)
+                    .map(|j| s.col_sum(&g, j))
+                    .fold(f64::INFINITY, f64::min);
+                (min_col_sum(&g, &s), seq)
+            });
+            assert_eq!(par.to_bits(), seq.to_bits(), "pool {t}: {par} vs {seq}");
+            // 0.24731007025826393, recorded before `min_col_sum` dropped its
+            // parallel `filter`.
+            assert_eq!(par.to_bits(), 0x3fcf_a7db_3bdd_87c5, "pool {t}: pinned value moved");
+        }
     }
 
     #[test]

@@ -126,16 +126,6 @@ pub trait Strategy {
     {
         FlatMap { base: self, f }
     }
-
-    /// Keep only values satisfying `pred` (resamples; gives up after a
-    /// bounded number of attempts to avoid infinite loops).
-    fn prop_filter<F>(self, whence: &'static str, pred: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        Filter { base: self, whence, pred }
-    }
 }
 
 /// See [`Strategy::prop_map`].
@@ -172,31 +162,6 @@ where
     type Value = S2::Value;
     fn generate(&self, rng: &mut TestRng) -> S2::Value {
         (self.f)(self.base.generate(rng)).generate(rng)
-    }
-}
-
-/// See [`Strategy::prop_filter`].
-#[derive(Clone, Debug)]
-pub struct Filter<S, F> {
-    base: S,
-    whence: &'static str,
-    pred: F,
-}
-
-impl<S, F> Strategy for Filter<S, F>
-where
-    S: Strategy,
-    F: Fn(&S::Value) -> bool,
-{
-    type Value = S::Value;
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..10_000 {
-            let v = self.base.generate(rng);
-            if (self.pred)(&v) {
-                return v;
-            }
-        }
-        panic!("prop_filter({}) rejected 10000 consecutive samples", self.whence);
     }
 }
 

@@ -1,11 +1,11 @@
 //! # rayon (offline shim) — real multicore edition
 //!
-//! A drop-in replacement for the subset of [`rayon`](https://docs.rs/rayon)'s
-//! API that the `dsmatch` workspace uses, executing on a **genuine
+//! A stand-in for [`rayon`](https://docs.rs/rayon) that carries only the
+//! part of its API the `dsmatch` workspace calls, executing on a **genuine
 //! `std::thread` worker pool**. The build environment has no access to
 //! crates.io, so the workspace vendors this shim and selects it through
-//! `[workspace.dependencies]`; restoring the real crate remains a one-line
-//! change in the root `Cargo.toml`.
+//! `[workspace.dependencies]`; swapping in the real crate — and with it
+//! rayon's full API — remains a one-line change in the root `Cargo.toml`.
 //!
 //! ## Execution model
 //!
@@ -16,9 +16,9 @@
 //!   to its own deque, where thieves can pick them up — skewed nested work
 //!   load-balances instead of serializing on its spawner.
 //! - Every parallel iterator splits its input into chunks whose boundaries
-//!   depend only on the input length (and `with_min_len`/`with_max_len`
-//!   hints), **never on the pool size**. Chunks become jobs on the current
-//!   pool's deques; workers drain them dynamically. Consequences:
+//!   depend only on the input length (and the `with_max_len` hint),
+//!   **never on the pool size**. Chunks become jobs on the current pool's
+//!   deques; workers drain them dynamically. Consequences:
 //!   - per-element operations (`for_each`, `par_iter_mut` writes) are
 //!     genuinely concurrent, so shared state must use atomics — exactly
 //!     the contract real rayon imposes;
@@ -28,10 +28,10 @@
 //!     workspace's determinism tests rely on;
 //!   - inputs at or below one chunk run inline on the calling thread.
 //! - The *current pool* is the innermost [`ThreadPool::install`] on this
-//!   thread, else the global pool ([`ThreadPoolBuilder::build_global`], or
-//!   lazily `RAYON_NUM_THREADS`/available parallelism). A pool of size 1
-//!   executes everything inline and is bit-for-bit the sequential
-//!   schedule.
+//!   thread, else the global pool: sized by `RAYON_NUM_THREADS` or the
+//!   available parallelism, built on the first parallel region that needs
+//!   it, and never replaced. A pool of size 1 executes everything inline
+//!   and is bit-for-bit the sequential schedule.
 //!
 //! ## Determinism contract (matches the paper's)
 //!
@@ -76,7 +76,7 @@ pub(crate) fn test_timeout(default_secs: u64) -> std::time::Duration {
 pub mod prelude {
     pub use crate::iter::{
         FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
-        IntoParallelRefMutIterator, ParallelSlice, ParallelSliceMut,
+        IntoParallelRefMutIterator, ParallelSlice,
     };
 }
 
@@ -84,53 +84,15 @@ pub mod prelude {
 ///
 /// Inside [`ThreadPool::install`] this is the pool's configured size; on a
 /// pool worker thread it is that pool's size; otherwise it is the global
-/// pool size (set by [`ThreadPoolBuilder::build_global`], the
-/// `RAYON_NUM_THREADS` environment variable, or the machine's available
-/// parallelism).
+/// pool size (the `RAYON_NUM_THREADS` environment variable, or the
+/// machine's available parallelism). Asking does not build the global
+/// pool.
 pub fn current_num_threads() -> usize {
     let w = pool::worker_pool_size();
     if w != 0 {
         return w;
     }
     pool::ambient_pool_size()
-}
-
-/// The index of the current thread within its pool, or `None` when the
-/// current thread is not a pool worker — same contract as
-/// `rayon::current_thread_index`. Callers use this to detect whether a
-/// parallel region would dispatch (worker threads run regions inline).
-pub fn current_thread_index() -> Option<usize> {
-    pool::worker_index()
-}
-
-/// Run two closures, potentially in parallel, and return both results.
-///
-/// `a` runs on the calling thread; `b` is offered to the current pool.
-/// When the current thread is itself a pool worker (or the pool has a
-/// single thread), both run sequentially on the caller.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    match pool::dispatch_pool() {
-        None => {
-            let ra = a();
-            let rb = b();
-            (ra, rb)
-        }
-        Some(core) => {
-            let mut rb = None;
-            let rb_slot = &mut rb;
-            let ra = core.scope(|s| {
-                s.spawn(move |_| *rb_slot = Some(b()));
-                a()
-            });
-            (ra, rb.expect("scope joined, spawned job must have run"))
-        }
-    }
 }
 
 /// Create a scoped-task region on the current pool: jobs spawned via
@@ -182,38 +144,21 @@ impl ThreadPoolBuilder {
         self
     }
 
-    fn resolved(&self) -> usize {
-        if self.num_threads == 0 {
-            pool::default_threads()
-        } else {
-            self.num_threads
-        }
-    }
-
     /// Build an owned pool with its own `std::thread` workers. Dropping
     /// the pool shuts the workers down and joins them. Fails when worker
     /// threads cannot be spawned (thread exhaustion).
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let (core, workers) = pool::PoolCore::start(self.resolved())
-            .map_err(|e| ThreadPoolBuildError(e.to_string()))?;
+        let size = if self.num_threads == 0 { pool::default_threads() } else { self.num_threads };
+        let (core, workers) =
+            pool::PoolCore::start(size).map_err(|e| ThreadPoolBuildError(e.to_string()))?;
         Ok(ThreadPool { core, workers })
-    }
-
-    /// Install this configuration as the global pool.
-    ///
-    /// Unlike real rayon, later calls replace the earlier pool (its
-    /// workers exit once their queue drains) instead of erroring, which
-    /// keeps the historical shim semantics that CLI code relies on. Fails
-    /// only when worker threads cannot be spawned.
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        pool::set_global(self.resolved()).map_err(|e| ThreadPoolBuildError(e.to_string()))
     }
 }
 
 /// A real thread pool: `N` parked `std::thread` workers, each owning a
 /// work-stealing deque (owner LIFO, randomized-victim steals FIFO). Work
 /// `install`ed into it runs with this pool as the dispatch target for
-/// every parallel iterator, [`join`], and [`scope`] call it makes.
+/// every parallel iterator and [`scope`] call it makes.
 #[derive(Debug)]
 pub struct ThreadPool {
     core: Arc<pool::PoolCore>,
@@ -291,20 +236,6 @@ mod tests {
             (before, nested, current_num_threads())
         });
         assert_eq!((a, b, c), (3, 7, 3));
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = join(|| 1 + 1, || "x".to_string() + "y");
-        assert_eq!(a, 2);
-        assert_eq!(b, "xy");
-    }
-
-    #[test]
-    fn join_in_installed_pool_runs_both() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let (a, b) = pool.install(|| join(|| 21 * 2, || vec![1, 2, 3].len()));
-        assert_eq!((a, b), (42, 3));
     }
 
     #[test]
@@ -403,26 +334,6 @@ mod tests {
         });
         assert_eq!(done.load(Ordering::SeqCst), 16);
         assert!(pool.steal_count() >= before + 16, "children must be stolen");
-    }
-
-    #[test]
-    fn current_thread_index_distinguishes_workers() {
-        assert_eq!(current_thread_index(), None, "the test thread is not a pool worker");
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        let indices = Mutex::new(HashSet::new());
-        pool.scope(|s| {
-            for _ in 0..32 {
-                s.spawn(|_| {
-                    indices.lock().unwrap().insert(current_thread_index());
-                });
-            }
-        });
-        let indices = indices.into_inner().unwrap();
-        assert!(!indices.contains(&None), "jobs run on workers, which have indices");
-        assert!(
-            indices.iter().all(|i| i.is_some_and(|k| k < 3)),
-            "indices stay below the pool size"
-        );
     }
 
     #[test]

@@ -99,12 +99,6 @@ pub(crate) fn worker_pool_size() -> usize {
     WORKER.with(|w| w.borrow().as_ref().map_or(0, |(core, _)| core.size))
 }
 
-/// The worker index on a pool worker thread (`None` elsewhere) — the
-/// shim's `rayon::current_thread_index`.
-pub(crate) fn worker_index() -> Option<usize> {
-    WORKER.with(|w| w.borrow().as_ref().map(|&(_, idx)| idx))
-}
-
 /// This thread's worker index in `core` specifically, when the thread is a
 /// worker of that pool.
 fn worker_index_in(core: &Arc<PoolCore>) -> Option<usize> {
@@ -173,51 +167,31 @@ pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The global pool, built lazily. `None` when no pool was ever requested
-/// and the default size is 1 — building a one-worker pool would never be
-/// dispatched to anyway.
+/// The global pool: built on the first dispatch that finds a default
+/// size above 1, then kept for the life of the process. Until then the
+/// default is re-read on every call, and a default of 1 builds nothing —
+/// a one-worker pool would never be dispatched to anyway. A pool whose
+/// workers cannot be spawned is recorded as absent, so regions degrade to
+/// inline execution instead of aborting the process.
+static GLOBAL: OnceLock<Option<Arc<PoolCore>>> = OnceLock::new();
+
 fn global_core() -> Option<Arc<PoolCore>> {
-    let slot = global_slot().lock().expect("global pool lock poisoned");
-    if let Some(core) = slot.as_ref() {
-        return Some(Arc::clone(core));
+    if let Some(built) = GLOBAL.get() {
+        return built.clone();
     }
-    drop(slot);
-    if default_threads() <= 1 {
+    let size = default_threads();
+    if size <= 1 {
         return None;
     }
-    let mut slot = global_slot().lock().expect("global pool lock poisoned");
-    if slot.is_none() {
-        // Failing to spawn the lazy global pool degrades gracefully to
-        // inline execution instead of aborting the process.
-        if let Ok((core, _workers)) = PoolCore::start(default_threads()) {
-            *slot = Some(core);
-        } else {
-            return None;
-        }
+    GLOBAL.get_or_init(|| PoolCore::start(size).ok().map(|(core, _workers)| core)).clone()
+}
+
+/// Size the global pool has, or would have if it were built now.
+fn global_size() -> usize {
+    match GLOBAL.get() {
+        Some(Some(core)) => core.size,
+        _ => default_threads(),
     }
-    slot.clone()
-}
-
-/// Size the global pool would have (without necessarily building it).
-pub(crate) fn global_size() -> usize {
-    let slot = global_slot().lock().expect("global pool lock poisoned");
-    slot.as_ref().map_or_else(default_threads, |c| c.size)
-}
-
-/// Replace the global pool with a fresh one of `size` threads. The old
-/// pool's workers are told to exit once their deques drain.
-pub(crate) fn set_global(size: usize) -> std::io::Result<()> {
-    let (core, _workers) = PoolCore::start(size)?;
-    let mut slot = global_slot().lock().expect("global pool lock poisoned");
-    if let Some(old) = slot.replace(core) {
-        old.shutdown();
-    }
-    Ok(())
-}
-
-fn global_slot() -> &'static Mutex<Option<Arc<PoolCore>>> {
-    static GLOBAL: OnceLock<Mutex<Option<Arc<PoolCore>>>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(None))
 }
 
 /// Deterministic per-worker RNG for victim selection (xorshift64*).
@@ -244,7 +218,7 @@ impl StealRng {
 impl PoolCore {
     /// Build a core and spawn its `size` workers. The handles are returned
     /// so owned pools ([`crate::ThreadPool`]) can join them on drop; the
-    /// global pool drops them (workers exit on shutdown regardless).
+    /// global pool drops them (its workers run for the life of the process).
     ///
     /// On worker-spawn failure (thread exhaustion), already-spawned
     /// workers are shut down and joined before the error is returned, so

@@ -1,6 +1,6 @@
 //! CLI contract tests: flag validation (the `--batch-par`-without-`--batch`
-//! and `--threads 0` rejections) and smoke coverage of the parallel exact
-//! finishers through the real binary.
+//! and `--threads 0` rejections), malformed-input errors, and smoke
+//! coverage of the parallel exact finishers through the real binary.
 
 use std::process::{Command, Output};
 
@@ -89,4 +89,27 @@ fn out_of_range_gen_specs_exit_1_without_panicking() {
         assert!(!stderr(&out).contains("panicked"), "{spec}: {}", stderr(&out));
         assert!(stderr(&out).contains("gen:er:<n>:<avg_degree>"), "{spec}: {}", stderr(&out));
     }
+}
+
+#[test]
+fn malformed_matrix_market_size_lines_exit_1_without_panicking() {
+    // Each size line once aborted or panicked the reader: an entry count
+    // too large to reserve (also doubled by `symmetric`), or a row count
+    // beyond 32-bit vertex ids.
+    let dir = std::env::temp_dir().join(format!("dsmatch_cli_mm_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, symmetry, size) in [
+        ("huge_nnz.mtx", "general", "3 3 99999999999999999"),
+        ("huge_nrows.mtx", "general", "5000000000 3 1"),
+        ("huge_symmetric_nnz.mtx", "symmetric", "3 3 9223372036854775807"),
+    ] {
+        let path = dir.join(name);
+        let text = format!("%%MatrixMarket matrix coordinate pattern {symmetry}\n{size}\n1 1\n");
+        std::fs::write(&path, text).unwrap();
+        let out = dsmatch(&[path.to_str().unwrap(), "--algo", "two"]);
+        assert_eq!(out.status.code(), Some(1), "{size}: stderr {}", stderr(&out));
+        assert!(stderr(&out).contains("Matrix Market parse error"), "{size}: {}", stderr(&out));
+        assert!(!stderr(&out).contains("panicked"), "{size}: {}", stderr(&out));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -671,6 +671,35 @@ fn binary_interactive_daemon_survives_error_replies() {
     d.finish();
 }
 
+/// A line nested far deeper than any job is one more malformed line: the
+/// daemon answers it with a `parse` error and keeps serving, instead of
+/// overflowing the stack of the thread that reads it.
+#[test]
+fn binary_deeply_nested_line_is_a_parse_error() {
+    let deep = format!("{}{}\n", "[".repeat(50_000), "]".repeat(50_000));
+    let mut child = serve_cmd(&["--threads", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning dsmatch serve");
+    let mut stdin = child.stdin.take().unwrap();
+    // A daemon that died mid-line shows up in the checks below.
+    let _ = stdin.write_all(deep.as_bytes());
+    let _ = stdin.write_all(b"{\"id\":2,\"op\":\"ping\"}\n");
+    drop(stdin);
+    let out = child.wait_with_output().expect("daemon output");
+    let (text, errors) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    let context = format!("{}\nstdout:\n{text}\nstderr:\n{errors}", out.status);
+    assert!(out.status.success(), "{context}");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "ready, two replies, shutdown: {context}");
+    assert!(lines[1].contains("\"code\":\"parse\""), "{context}");
+    assert!(lines[2].contains("\"id\":2") && lines[2].contains("\"ok\":true"), "{context}");
+    assert!(lines[3].contains("\"event\":\"shutdown\""), "{context}");
+}
+
 /// Handle lifecycle: store, drop, and LRU eviction under a zero cache
 /// budget — the older idle handle goes, the just-written one survives.
 #[test]
