@@ -50,9 +50,9 @@
 //! ```
 
 use dsmatch::engine::{
-    select_finisher, AlgorithmKind, Json, Pipeline, Solver, Workspace, WorkspacePool,
+    select_finisher, weighted_view, AlgorithmKind, Json, Pipeline, Solver, Workspace, WorkspacePool,
 };
-use dsmatch::weighted::{suitor_parallel, WeightedGraph};
+use dsmatch::weighted::suitor_parallel;
 use dsmatch_bench::{arg, write_json_file, Table};
 use dsmatch_core::{karp_sipser_mt_ws, two_sided_choices, KsMtScratch};
 use dsmatch_exact::{
@@ -130,15 +130,7 @@ fn main() {
     // The weighted view of the instance (scaling entries as edge weights,
     // the engine's probability bridge), built once untimed so the
     // `suitor_par` kernel times matching work only.
-    let mut weighted_edges: Vec<(usize, usize, f64)> = Vec::with_capacity(g.nnz());
-    for i in 0..g.nrows() {
-        for &j in g.row_adj(i) {
-            let w = scaling.entry(i, j as usize);
-            let w = if w.is_finite() && w > 0.0 { w } else { f64::MIN_POSITIVE };
-            weighted_edges.push((i, g.nrows() + j as usize, w));
-        }
-    }
-    let wg = WeightedGraph::from_weighted_edges(g.nrows() + g.ncols(), &weighted_edges);
+    let wg = weighted_view(&g, &scaling);
 
     let ts = ladder(max_threads);
     let mut table = Table::new(

@@ -7,6 +7,7 @@
 //! single-sided matching, mirroring [`crate::bipartite`] /
 //! [`crate::matching`].
 
+use crate::bipartite::BipartiteGraph;
 use crate::csr::Csr;
 use crate::{VertexId, NIL};
 
@@ -43,6 +44,32 @@ impl UndirectedGraph {
             }
         }
         Self { adj: t.into_csr() }
+    }
+
+    /// The undirected view of a bipartite graph in `O(nrows + ncols + nnz)`:
+    /// row `i` becomes vertex `i` and column `j` becomes vertex
+    /// `nrows + j`. The rows' adjacency is the CSR shifted by `nrows`, the
+    /// columns' is the CSC; both are already sorted, so the result equals
+    /// [`Self::from_edges`] of the `(i, nrows + j)` edge list without its
+    /// sort.
+    ///
+    /// # Panics
+    /// If `nrows + ncols` does not fit a [`VertexId`] below [`NIL`].
+    pub fn from_bipartite(g: &BipartiteGraph) -> Self {
+        let (nr, nc, nnz) = (g.nrows(), g.ncols(), g.nnz());
+        let n = nr + nc;
+        assert!(n < NIL as usize, "vertex count {n} must fit in u32");
+        let (csr, csc) = (g.csr(), g.csc());
+        let row_ptr: Vec<usize> = csr
+            .row_ptr()
+            .iter()
+            .copied()
+            .chain(csc.row_ptr()[1..].iter().map(|&p| p + nnz))
+            .collect();
+        let shift = nr as VertexId;
+        let col_idx: Vec<VertexId> =
+            csr.col_idx().iter().map(|&j| j + shift).chain(csc.col_idx().iter().copied()).collect();
+        Self { adj: Csr::from_parts(n, n, row_ptr, col_idx) }
     }
 
     /// Number of vertices.
@@ -234,6 +261,46 @@ mod tests {
     fn diagonal_rejected() {
         let csr = Csr::from_dense(&[&[1, 1], &[1, 0]]);
         let _ = UndirectedGraph::from_symmetric_csr(csr);
+    }
+
+    /// `from_bipartite` must equal `from_edges` of the `(i, nrows + j)`
+    /// edge list entry for entry.
+    fn assert_view_is_the_edge_list_graph(g: &BipartiteGraph) {
+        let nr = g.nrows();
+        let edges: Vec<_> = g.csr().iter_entries().map(|(i, j)| (i, nr + j)).collect();
+        let want = UndirectedGraph::from_edges(nr + g.ncols(), &edges);
+        let got = UndirectedGraph::from_bipartite(g);
+        assert_eq!(got.csr().row_ptr(), want.csr().row_ptr());
+        assert_eq!(got.csr().col_idx(), want.csr().col_idx());
+    }
+
+    #[test]
+    fn from_bipartite_equals_from_edges() {
+        let shapes: [&[&[u8]]; 4] = [
+            // Square.
+            &[&[1, 1, 0], &[0, 1, 1], &[1, 0, 1]],
+            // Rectangular, wide and tall.
+            &[&[1, 0, 1, 1], &[0, 1, 0, 1]],
+            &[&[1, 0], &[1, 1], &[0, 1], &[1, 0]],
+            // An empty row and an empty column.
+            &[&[1, 0, 1], &[0, 0, 0], &[1, 0, 0]],
+        ];
+        for rows in shapes {
+            assert_view_is_the_edge_list_graph(&BipartiteGraph::from_csr(Csr::from_dense(rows)));
+        }
+        // Edgeless, with and without vertices on either side.
+        for (nr, nc) in [(3, 2), (0, 4), (4, 0), (0, 0)] {
+            assert_view_is_the_edge_list_graph(&BipartiteGraph::from_csr(Csr::empty(nr, nc)));
+        }
+        // Random sparse patterns, square and rectangular.
+        let mut rng = crate::SplitMix64::new(17);
+        for (nr, nc) in [(40, 25), (25, 40), (60, 60)] {
+            let mut t = crate::TripletMatrix::new(nr, nc);
+            for _ in 0..(nr + nc) {
+                t.push(rng.next_index(nr), rng.next_index(nc));
+            }
+            assert_view_is_the_edge_list_graph(&BipartiteGraph::from_csr(t.into_csr()));
+        }
     }
 
     #[test]

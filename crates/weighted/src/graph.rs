@@ -4,8 +4,14 @@ use dsmatch_graph::{UndirectedGraph, VertexId};
 
 /// An undirected graph with positive edge weights.
 ///
-/// Weights are stored per *directed* entry of the symmetric CSR, with the
-/// symmetry `w(u,v) = w(v,u)` enforced at construction.
+/// Weights are stored per *directed* entry of the symmetric CSR.
+///
+/// Invariant: the two entries of an edge hold the **same bits**,
+/// `w(u,v).to_bits() == w(v,u).to_bits()`. [`crate::suitor`] relies on it:
+/// it keeps the weight of a standing offer as read from the proposer's
+/// row and compares later candidates, read from their own rows, against
+/// that copy. [`Self::from_weighted_edges`] writes both entries from one
+/// value; [`Self::from_fn`] checks it in debug builds.
 #[derive(Clone, Debug)]
 pub struct WeightedGraph {
     topo: UndirectedGraph,
@@ -44,7 +50,12 @@ impl WeightedGraph {
     }
 
     /// Attach weights to an existing symmetric graph; `weight_of(u, v)` is
-    /// evaluated once per stored entry and must be symmetric.
+    /// evaluated once per stored entry and must be exactly symmetric: the
+    /// same bits for `(u, v)` and `(v, u)` (checked in debug builds).
+    ///
+    /// # Panics
+    /// If any weight is not finite and positive; in debug builds also if
+    /// the two entries of an edge differ in any bit.
     pub fn from_fn(topo: UndirectedGraph, weight_of: impl Fn(usize, usize) -> f64) -> Self {
         let csr = topo.csr();
         let mut weights = Vec::with_capacity(csr.nnz());
@@ -56,14 +67,14 @@ impl WeightedGraph {
             }
         }
         let g = Self { topo, weights };
-        debug_assert!(g.check_symmetric(), "weight function must be symmetric");
+        debug_assert!(g.check_symmetric(), "weight function must be exactly symmetric");
         g
     }
 
     fn check_symmetric(&self) -> bool {
         (0..self.n()).all(|u| {
             self.adj(u).all(|(v, w)| {
-                self.weight(v as usize, u).is_some_and(|back| (back - w).abs() < 1e-12)
+                self.weight(v as usize, u).is_some_and(|back| back.to_bits() == w.to_bits())
             })
         })
     }
@@ -139,6 +150,23 @@ mod tests {
         let g = WeightedGraph::from_fn(topo, |u, v| (u + v + 1) as f64);
         assert_eq!(g.weight(0, 1), Some(2.0));
         assert_eq!(g.weight(1, 2), Some(4.0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exactly symmetric")]
+    fn from_fn_rejects_a_one_ulp_asymmetry() {
+        let topo = UndirectedGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        // (1, 2) is one ulp heavier than (2, 1); the old `|Δ| < 1e-12`
+        // check let that through.
+        let _ = WeightedGraph::from_fn(topo, |u, v| {
+            let w = 0.5 + (u + v) as f64;
+            if (u, v) == (1, 2) {
+                f64::from_bits(w.to_bits() + 1)
+            } else {
+                w
+            }
+        });
     }
 
     #[test]

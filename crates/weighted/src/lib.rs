@@ -15,13 +15,23 @@
 //!   displaced vertices re-propose. Produces **the same matching as the
 //!   greedy algorithm** under consistent tie-breaking, with far better
 //!   locality and a natural lock-free parallelization — the same design
-//!   philosophy as the paper's `KarpSipserMT`.
+//!   philosophy as the paper's `KarpSipserMT`. The sequential [`suitor`]
+//!   keeps each standing offer's weight beside its holder, so checking a
+//!   candidate against it is O(1) and the run reads only the proposers'
+//!   rows; [`suitor_parallel`] looks the offer's weight up by holder,
+//!   since its compare-and-swap claims one word.
 //! - [`path_growing`] — the Drake–Hougardy path-growing ½-approximation,
 //!   a further sequential baseline.
 //!
 //! Weights are attached to an [`dsmatch_graph::UndirectedGraph`] through
-//! [`WeightedGraph`], which stores one `f64` per stored (directed) entry
-//! and enforces symmetry.
+//! [`WeightedGraph`], which stores one `f64` per stored (directed) entry.
+//! Its invariant is exact symmetry: both entries of an edge hold the same
+//! bits, which is what lets [`suitor`] compare against a stored copy of an
+//! offer's weight. [`WeightedGraph::from_fn`] attaches weights to a given
+//! topology in one pass (the engine's weighted view of a bipartite
+//! instance uses it on [`dsmatch_graph::UndirectedGraph::from_bipartite`]);
+//! [`WeightedGraph::from_weighted_edges`] builds from an arbitrary edge
+//! list with a sort.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -37,17 +37,50 @@ fn edge_cmp(w1: f64, u1: usize, v1: usize, w2: f64, u2: usize, v2: usize) -> Ord
     }
 }
 
-/// Key of the standing offer at `p` (−∞ when no suitor).
+/// Whether `cand`'s proposal of weight `w` to `p` beats the standing offer
+/// there: `holder`'s, whose weight `holder_w` yields (any proposal beats
+/// no offer, and then `holder_w` is not called).
 #[inline]
-fn beats_offer(g: &WeightedGraph, cand: usize, p: usize, w: f64, holder: VertexId) -> bool {
-    if holder == NIL {
-        return true;
+fn beats_offer(
+    cand: usize,
+    p: usize,
+    w: f64,
+    holder: VertexId,
+    holder_w: impl FnOnce() -> f64,
+) -> bool {
+    holder == NIL || edge_cmp(w, cand, p, holder_w(), holder as usize, p) == Ordering::Greater
+}
+
+/// The heaviest neighbour `p` of `current` for which `can_beat(p, w)`
+/// holds, with the weight `w` of the edge to it.
+#[inline]
+fn best_target(
+    g: &WeightedGraph,
+    current: usize,
+    can_beat: impl Fn(usize, f64) -> bool,
+) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (p, w) in g.adj(current) {
+        let p = p as usize;
+        if can_beat(p, w)
+            && best.is_none_or(|(bp, bw)| {
+                edge_cmp(w, current, p, bw, current, bp) == Ordering::Greater
+            })
+        {
+            best = Some((p, w));
+        }
     }
-    let hw = g.weight(p, holder as usize).expect("suitor must be a neighbour");
-    edge_cmp(w, cand, p, hw, holder as usize, p) == Ordering::Greater
+    best
 }
 
 /// Sequential Suitor.
+///
+/// Every vertex `p` keeps its standing offer as a pair: the holder
+/// `suitor_of[p]` and `offer[p]`, the weight of the holder's edge to `p`,
+/// stored when the proposal lands. A candidate is checked against that
+/// pair in O(1), so the run reads only the proposers' own rows. The
+/// stored copy equals the weight in `p`'s row because a [`WeightedGraph`]
+/// holds the same bits for both entries of an edge.
 ///
 /// ```
 /// use dsmatch_weighted::{suitor, matching_weight, WeightedGraph};
@@ -64,33 +97,20 @@ fn beats_offer(g: &WeightedGraph, cand: usize, p: usize, w: f64, holder: VertexI
 pub fn suitor(g: &WeightedGraph) -> UndirectedMatching {
     let n = g.n();
     let mut suitor_of: Vec<VertexId> = vec![NIL; n];
+    let mut offer: Vec<f64> = vec![0.0; n];
     for start in 0..n {
-        let mut current = start as u32;
-        loop {
-            // Heaviest neighbour whose standing offer `current` beats.
-            let mut best: Option<(VertexId, f64)> = None;
-            for (p, w) in g.adj(current as usize) {
-                if !beats_offer(g, current as usize, p as usize, w, suitor_of[p as usize]) {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((bp, bw)) => {
-                        edge_cmp(w, current as usize, p as usize, bw, current as usize, bp as usize)
-                            == Ordering::Greater
-                    }
-                };
-                if better {
-                    best = Some((p, w));
-                }
-            }
-            let Some((p, _)) = best else { break };
-            let prev = suitor_of[p as usize];
-            suitor_of[p as usize] = current;
+        let mut current = start;
+        // Propose to the heaviest neighbour whose standing offer `current`
+        // beats; a displaced holder re-proposes in turn.
+        while let Some((p, w)) =
+            best_target(g, current, |p, w| beats_offer(current, p, w, suitor_of[p], || offer[p]))
+        {
+            let prev = std::mem::replace(&mut suitor_of[p], current as VertexId);
+            offer[p] = w;
             if prev == NIL {
                 break;
             }
-            current = prev; // displaced vertex re-proposes
+            current = prev as usize;
         }
     }
     extract(&suitor_of)
@@ -99,40 +119,32 @@ pub fn suitor(g: &WeightedGraph) -> UndirectedMatching {
 /// Lock-free parallel Suitor: proposals land with compare-and-swap; a
 /// losing CAS re-evaluates and retries. Produces the same matching as
 /// [`suitor`] (the fixed point is unique under the total edge order).
+///
+/// The CAS swaps one word, the holder, so the weight of a standing offer
+/// is looked up in `p`'s row by holder (a weight stored beside it could be
+/// read stale).
 pub fn suitor_parallel(g: &WeightedGraph) -> UndirectedMatching {
     let n = g.n();
     let suitor_of: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NIL)).collect();
+    let holder_w = |p: usize, holder: VertexId| {
+        move || g.weight(p, holder as usize).expect("suitor must be a neighbour")
+    };
     (0..n as u32).into_par_iter().for_each(|start| {
-        let mut current = start;
-        'propose: loop {
-            let mut best: Option<(VertexId, f64)> = None;
-            for (p, w) in g.adj(current as usize) {
-                let holder = suitor_of[p as usize].load(AtOrd::Acquire);
-                if !beats_offer(g, current as usize, p as usize, w, holder) {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((bp, bw)) => {
-                        edge_cmp(w, current as usize, p as usize, bw, current as usize, bp as usize)
-                            == Ordering::Greater
-                    }
-                };
-                if better {
-                    best = Some((p, w));
-                }
-            }
-            let Some((p, w)) = best else { break };
+        let mut current = start as usize;
+        'propose: while let Some((p, w)) = best_target(g, current, |p, w| {
+            let holder = suitor_of[p].load(AtOrd::Acquire);
+            beats_offer(current, p, w, holder, holder_w(p, holder))
+        }) {
             // Claim the slot; retry the whole selection if the offer at p
             // improved concurrently.
-            let mut observed = suitor_of[p as usize].load(AtOrd::Acquire);
+            let mut observed = suitor_of[p].load(AtOrd::Acquire);
             loop {
-                if !beats_offer(g, current as usize, p as usize, w, observed) {
+                if !beats_offer(current, p, w, observed, holder_w(p, observed)) {
                     continue 'propose; // lost the race; pick another target
                 }
-                match suitor_of[p as usize].compare_exchange_weak(
+                match suitor_of[p].compare_exchange_weak(
                     observed,
-                    current,
+                    current as VertexId,
                     AtOrd::AcqRel,
                     AtOrd::Acquire,
                 ) {
@@ -140,7 +152,7 @@ pub fn suitor_parallel(g: &WeightedGraph) -> UndirectedMatching {
                         if observed == NIL {
                             break 'propose;
                         }
-                        current = observed; // displaced vertex re-proposes
+                        current = observed as usize; // displaced vertex re-proposes
                         continue 'propose;
                     }
                     Err(now) => observed = now,
@@ -171,6 +183,7 @@ mod tests {
     use crate::greedy::greedy_weighted;
     use crate::{brute_force_max_weight, matching_weight};
     use dsmatch_graph::SplitMix64;
+    use proptest::prelude::*;
 
     fn random_weighted(n: usize, density: u64, seed: u64) -> WeightedGraph {
         let mut rng = SplitMix64::new(seed);
@@ -245,6 +258,32 @@ mod tests {
         assert_eq!(s, gr);
         assert_eq!(s, par);
         assert_eq!(s.cardinality(), 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Integer weights in 1..=3 make most comparisons weight ties, so
+        /// the endpoint tie-break decides them, including the ones against
+        /// a stored offer. (The random-weight tests above draw distinct
+        /// weights and never reach it.) All three must still agree.
+        #[test]
+        fn tie_heavy_weights_agree_with_greedy(
+            (n, edges) in (2usize..40).prop_flat_map(|n| {
+                proptest::collection::vec((0..n, 0..n, 1u32..4), 0..4 * n)
+                    .prop_map(move |edges| (n, edges))
+            }),
+        ) {
+            let edges: Vec<(usize, usize, f64)> = edges
+                .into_iter()
+                .filter(|&(u, v, _)| u != v)
+                .map(|(u, v, w)| (u, v, f64::from(w)))
+                .collect();
+            let g = WeightedGraph::from_weighted_edges(n, &edges);
+            let s = suitor(&g);
+            prop_assert_eq!(&s, &greedy_weighted(&g));
+            prop_assert_eq!(&s, &suitor_parallel(&g));
+        }
     }
 
     #[test]

@@ -76,7 +76,9 @@ mod workspace;
 pub use batch::WorkspacePool;
 pub use dsmatch_graph::{CancelToken, Cancelled};
 pub use dsmatch_json::Json;
-pub use pipeline::{Pipeline, ScaleMethod, ScaleStage, Solver, Workload, DEFAULT_SCALE_ITERATIONS};
+pub use pipeline::{
+    weighted_view, Pipeline, ScaleMethod, ScaleStage, Solver, Workload, DEFAULT_SCALE_ITERATIONS,
+};
 pub use registry::{select_finisher, AlgorithmKind, WeightedKind};
 pub use report::{SolveReport, StageReport};
 #[cfg(unix)]

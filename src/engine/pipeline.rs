@@ -12,8 +12,10 @@ use dsmatch_exact::{
     bfs_augment_from, hopcroft_karp_cancel_ws, hopcroft_karp_par_cancel, pothen_fan_cancel_ws,
     pothen_fan_graft_cancel, pothen_fan_par_cancel, push_relabel_cancel,
 };
-use dsmatch_graph::{BipartiteGraph, CancelToken, Cancelled, Matching, TripletMatrix, NIL};
-use dsmatch_scale::{ruiz_cancel_into, sinkhorn_knopp_cancel_into, ScalingConfig};
+use dsmatch_graph::{
+    BipartiteGraph, CancelToken, Cancelled, Matching, TripletMatrix, UndirectedGraph, NIL,
+};
+use dsmatch_scale::{ruiz_cancel_into, sinkhorn_knopp_cancel_into, ScalingConfig, ScalingResult};
 use dsmatch_weighted::{
     greedy_weighted, matching_weight, path_growing, suitor, suitor_parallel, WeightedGraph,
 };
@@ -689,14 +691,37 @@ impl Pipeline {
     }
 }
 
-/// Run a weighted workload: the scaled entries `s_ij = d_r[i]·d_c[j]`
-/// become edge weights (the paper's probability bridge — the doubly
-/// stochastic limit assigns each entry its probability of being matched,
-/// so the weighted heuristics chase exactly the edges scaling considers
-/// likely), the bipartite instance becomes one undirected graph over
-/// rows-then-columns, and the selected heuristic matches it. Returns the
-/// matching translated back to bipartite mates, with its total weight in
-/// an otherwise empty stage report.
+/// The weighted view of `g` under `scaling`: the scaled entries
+/// `s_ij = d_r[i]·d_c[j]` become edge weights (the paper's probability
+/// bridge — the doubly stochastic limit assigns each entry its
+/// probability of being matched, so the weighted heuristics chase exactly
+/// the edges scaling considers likely) on one undirected graph over
+/// rows-then-columns, row `i` as vertex `i` and column `j` as vertex
+/// `nrows + j`. Built from the CSR and CSC in `O(n + nnz)`, with no sort
+/// and no search.
+///
+/// Degenerate factors (structurally deficient instances scale entries to
+/// 0 or non-finite values) would make an edge unusable; such an edge gets
+/// the smallest positive weight instead. Both entries of an edge map back
+/// to the same `(i, j)`, so they hold the same bits, as [`WeightedGraph`]
+/// requires.
+pub fn weighted_view(g: &BipartiteGraph, scaling: &ScalingResult) -> WeightedGraph {
+    let n_r = g.nrows();
+    WeightedGraph::from_fn(UndirectedGraph::from_bipartite(g), |u, v| {
+        let (i, j) = if u < n_r { (u, v - n_r) } else { (v, u - n_r) };
+        let w = scaling.entry(i, j);
+        if w.is_finite() && w > 0.0 {
+            w
+        } else {
+            f64::MIN_POSITIVE
+        }
+    })
+}
+
+/// Run a weighted workload: the selected heuristic matches the
+/// [`weighted_view`] of `g` under the workspace's scaling factors.
+/// Returns the matching translated back to bipartite mates, with its total
+/// weight in an otherwise empty stage report.
 fn run_weighted(
     kind: WeightedKind,
     g: &BipartiteGraph,
@@ -705,19 +730,7 @@ fn run_weighted(
 ) -> Result<(Matching, StageReport), Cancelled> {
     token.check()?;
     let n_r = g.nrows();
-    let Workspace { scaling, weighted_edges, .. } = ws;
-    weighted_edges.clear();
-    for i in 0..n_r {
-        for &j in g.row_adj(i) {
-            let w = scaling.entry(i, j as usize);
-            // Guard degenerate factors (structurally deficient instances
-            // scale entries to 0 or non-finite values): keep every edge
-            // usable with the smallest positive weight instead.
-            let w = if w.is_finite() && w > 0.0 { w } else { f64::MIN_POSITIVE };
-            weighted_edges.push((i, n_r + j as usize, w));
-        }
-    }
-    let wg = WeightedGraph::from_weighted_edges(n_r + g.ncols(), weighted_edges);
+    let wg = weighted_view(g, &ws.scaling);
     token.check()?;
     let um = match kind {
         WeightedKind::GreedyWeighted => greedy_weighted(&wg),

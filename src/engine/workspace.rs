@@ -37,10 +37,6 @@ pub struct Workspace {
     pub heur: HeurWorkspace,
     /// Exact-solver scratch (BFS/DFS state, working mate arrays).
     pub augment: AugmentWorkspace,
-    /// Edge buffer for the weighted workloads: `(row, nrows + col, weight)`
-    /// triples built from the current scaling factors, reused across
-    /// solves like every other scratch buffer.
-    pub weighted_edges: Vec<(usize, usize, f64)>,
     /// Thread pool solves against this workspace execute in, if owned
     /// (shared so the solve path can install it while the workspace is
     /// mutably borrowed).
@@ -59,7 +55,6 @@ impl Workspace {
             scaling: ScalingResult::empty(),
             heur: HeurWorkspace::new(),
             augment: AugmentWorkspace::new(),
-            weighted_edges: Vec::new(),
             pool: None,
             dm_pool: None,
         }

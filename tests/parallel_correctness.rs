@@ -540,6 +540,78 @@ fn scaling_and_choices_are_pinned() {
     }
 }
 
+/// Golden outputs of the weighted workloads at pools 1, 2 and 4: the row
+/// mates (as an FNV-1a checksum) and the total weight bits of every
+/// weighted heuristic fed by `sk:5` scaling, on the three instances of
+/// [`scaling_and_choices_are_pinned`] plus a rectangular one. `suitor`,
+/// `suitor-par` and `greedy-w` reach one fixed point under the total edge
+/// order, so their rows agree. The `dm,` workload reports no weight; only
+/// its mates are pinned. A rewrite of the weighted view or of a weighted
+/// kernel that moves a single mate or weight bit fails here.
+#[test]
+fn weighted_workloads_are_pinned() {
+    use dsmatch::engine::{Pipeline, Solver, Workspace};
+
+    let instances = [
+        ("er8", dsmatch::gen::erdos_renyi_square(20_000, 8.0, 1)),
+        ("er1.5", dsmatch::gen::erdos_renyi_square(30_000, 1.5, 3)),
+        ("mesh", dsmatch::gen::grid_mesh(120, 150)),
+        ("rect", dsmatch::gen::erdos_renyi_rect(9_000, 12_000, 3.0, 7)),
+    ];
+    let specs = [
+        "scale:sk:5,suitor",
+        "scale:sk:5,suitor-par",
+        "scale:sk:5,greedy-w",
+        "scale:sk:5,path-grow",
+        "dm,scale:sk:5,suitor",
+    ];
+    // (instance, spec, row-mates checksum, weight bits)
+    let expected: &[(&str, &str, u64, Option<u64>)] = &[
+        ("er8", "scale:sk:5,suitor", 2538034233584095647, Some(4660890648188726190)),
+        ("er8", "scale:sk:5,suitor-par", 2538034233584095647, Some(4660890648188726190)),
+        ("er8", "scale:sk:5,greedy-w", 2538034233584095647, Some(4660890648188726190)),
+        ("er8", "scale:sk:5,path-grow", 8919563510138657703, Some(4660501008855556798)),
+        ("er8", "dm,scale:sk:5,suitor", 16520146703969796870, None),
+        ("er1.5", "scale:sk:5,suitor", 4421959915225934579, Some(4670390824571444112)),
+        ("er1.5", "scale:sk:5,suitor-par", 4421959915225934579, Some(4670390824571444112)),
+        ("er1.5", "scale:sk:5,greedy-w", 4421959915225934579, Some(4670390824571444112)),
+        ("er1.5", "scale:sk:5,path-grow", 3952486211417964190, Some(4670291879032221577)),
+        ("er1.5", "dm,scale:sk:5,suitor", 11734142070004088596, None),
+        ("mesh", "scale:sk:5,suitor", 16672846182190508877, Some(4659985966776114884)),
+        ("mesh", "scale:sk:5,suitor-par", 16672846182190508877, Some(4659985966776114884)),
+        ("mesh", "scale:sk:5,greedy-w", 16672846182190508877, Some(4659985966776114884)),
+        ("mesh", "scale:sk:5,path-grow", 18263025303478071148, Some(4660059322325611426)),
+        ("mesh", "dm,scale:sk:5,suitor", 16672846182190508877, None),
+        ("rect", "scale:sk:5,suitor", 9989061463115151422, Some(4661862243420774549)),
+        ("rect", "scale:sk:5,suitor-par", 9989061463115151422, Some(4661862243420774549)),
+        ("rect", "scale:sk:5,greedy-w", 9989061463115151422, Some(4661862243420774549)),
+        ("rect", "scale:sk:5,path-grow", 15580876568073401459, Some(4661812469126503093)),
+        ("rect", "dm,scale:sk:5,suitor", 9036088220523962321, None),
+    ];
+    let mut got = Vec::new();
+    for (name, g) in &instances {
+        for spec in specs {
+            let pipeline: Pipeline = spec.parse().unwrap();
+            let mut reference = None;
+            for t in [1usize, 2, 4] {
+                let report = pipeline.solve(g, &mut Workspace::with_threads(t));
+                report.matching.verify(g).unwrap();
+                let row =
+                    (*name, spec, fnv1a(report.matching.rmates()), report.weight.map(f64::to_bits));
+                match reference {
+                    None => reference = Some(row),
+                    Some(r) => assert_eq!(row, r, "{spec} differs at {t} threads"),
+                }
+            }
+            got.extend(reference);
+        }
+    }
+    if got != expected {
+        let table: String = got.iter().map(|row| format!("        {row:?},\n")).collect();
+        panic!("weighted outputs moved; observed:\n{table}");
+    }
+}
+
 /// `one_sided_match` under real pools: the matched-column set and the
 /// cardinality are a pure function of the seed; every schedule's matching
 /// is valid. (The winning row per column is a benign race by design.)
