@@ -20,7 +20,7 @@
 //! - `pf_par_finish` / `hk_par_finish` / `pf_graft_finish` / `pr_finish` /
 //!   `auto_finish` — the exact finishers (`pf-par` tree-grafting BFS,
 //!   `hk-par` level-synchronized BFS, `pf-graft` incremental tree
-//!   grafting, `pr` push-relabel, and the statistics-driven `auto` pick)
+//!   grafting, `pr` push-relabel, and the fill-driven `auto` pick)
 //!   warm-started from a pre-computed two-sided heuristic matching: only
 //!   finisher work (the paper pipelines' last sequential bottleneck) is
 //!   timed. Finishers with phase structure also report their
@@ -171,15 +171,11 @@ fn main() {
     let pf_graft_phases =
         pothen_fan_graft_ws(&g, Some(&finisher_init), &mut AugmentWorkspace::new()).1.phases;
 
-    // The statistics-driven pick, resolved once (the policy is a pure
+    // The fill-driven pick, resolved once (the policy is a pure
     // function of the instance) and dispatched directly so the kernel
     // times only finisher work — the engine would add pipeline plumbing.
     let auto_pick = select_finisher(&g);
-    let auto_phases = match auto_pick {
-        AlgorithmKind::PothenFanGraft => Some(pf_graft_phases),
-        AlgorithmKind::HopcroftKarpPar => Some(hk_par_phases),
-        _ => None,
-    };
+    let auto_phases = (auto_pick == AlgorithmKind::HopcroftKarpPar).then_some(hk_par_phases);
     println!("auto finisher pick for this instance: {auto_pick}");
 
     let mut kernels: Vec<Kernel> = vec![
@@ -271,9 +267,6 @@ fn main() {
             name: "auto_finish",
             run: Box::new(|| {
                 std::hint::black_box(match auto_pick {
-                    AlgorithmKind::PothenFanGraft => {
-                        pothen_fan_graft_ws(&g, Some(&finisher_init), &mut auto_ws).0.cardinality()
-                    }
                     AlgorithmKind::HopcroftKarpPar => {
                         hopcroft_karp_par_ws(&g, Some(&finisher_init), &mut auto_ws).0.cardinality()
                     }

@@ -25,7 +25,11 @@
 //!   [`pothen_fan_par_ws`]). Both are byte-identical at every pool size;
 //! - [`push_relabel`] — the auction/push-relabel scheme the paper's
 //!   related work (\[9\], \[21\]) evaluates as the main alternative to
-//!   augmenting-path solvers;
+//!   augmenting-path solvers, with global relabeling: a breadth-first
+//!   search that resets every label to its exact distance before the
+//!   first bid and after every `n_r + n_c` pushes, so rows with no
+//!   augmenting path retire at once. It is the engine's finisher for
+//!   sparse instances (`auto`);
 //! - [`sprank`] — structural rank of a pattern matrix (maximum matching
 //!   cardinality), paper Table 3's `sprank/n` column;
 //! - [`brute_force_maximum`] — exponential oracle for property tests on

@@ -8,12 +8,23 @@
 //!
 //! The implementation is the integer auction with unit bids, which is the
 //! push-relabel algorithm specialized to unweighted bipartite matching:
-//! every column carries a label (price) `ψ[c]`; a free row claims its
-//! cheapest adjacent column, evicting the previous owner, and raises the
-//! column's label to `second_cheapest + 1`. Labels never decrease and a
-//! row whose cheapest reachable column has label ≥ `n` can have no
-//! augmenting path left, so it retires. Worst-case `O(n·τ)`; typically far
-//! faster because evictions are local.
+//! every column carries a label (price) `ψ[c]`, a lower bound on the
+//! length of its shortest alternating path to a free column; a free row
+//! claims its cheapest adjacent column, evicting the previous owner, and
+//! raises the column's label to `second_cheapest + 1`. A row whose
+//! cheapest reachable column has label `n_c + 1` can have no augmenting
+//! path left, so it retires.
+//!
+//! Bids alone raise a label by one at a time, so a row with no augmenting
+//! path would retire only after `Θ(n)` bids on each of its columns —
+//! quadratic work on instances with deficient rows. **Global relabeling**
+//! (Kaya–Langguth–Manne–Uçar) bounds this: once before the first bid and
+//! again after every `n_r + n_c` pushes, one breadth-first search from
+//! the free columns over the alternating graph (a column's rows lead on
+//! to those rows' mates) sets every label to its exact distance, and every
+//! column it does not reach to `n_c + 1`, so rows with no augmenting path
+//! retire at their next pop. Each search costs `O(n + τ)`, about as much
+//! as the `n_r + n_c` bids between two of them.
 
 use dsmatch_graph::{BipartiteGraph, CancelToken, Cancelled, Matching, VertexId, NIL};
 
@@ -26,6 +37,8 @@ pub struct PushRelabelStats {
     pub relabels: usize,
     /// Rows retired as unmatchable.
     pub retired: usize,
+    /// Global relabels (breadth-first searches resetting every label).
+    pub global_relabels: usize,
 }
 
 /// Maximum-cardinality matching via the auction / push-relabel scheme.
@@ -79,6 +92,9 @@ pub fn push_relabel_cancel(
     // deterministically, even on instances smaller than the poll interval.
     token.check()?;
     let mut since_poll = 0usize;
+    // Pushes until the next global relabel: `0` relabels before the first bid.
+    let mut until_relabel = 0usize;
+    let mut search = Search::default();
     while let Some(r) = queue.pop_front() {
         since_poll += 1;
         if since_poll >= CANCEL_POLL_INTERVAL {
@@ -88,6 +104,11 @@ pub fn push_relabel_cancel(
         let r = r as usize;
         if rmate[r] != NIL {
             continue;
+        }
+        if until_relabel == 0 {
+            global_relabel(g, &rmate, &cmate, &mut psi, limit, &mut search);
+            stats.global_relabels += 1;
+            until_relabel = n_r + n_c;
         }
         // Find cheapest and second-cheapest adjacent columns.
         let mut best = NIL;
@@ -112,6 +133,7 @@ pub fn push_relabel_cancel(
         cmate[best as usize] = r as VertexId;
         rmate[r] = best;
         stats.pushes += 1;
+        until_relabel -= 1;
         if prev != NIL {
             rmate[prev as usize] = NIL;
             queue.push_back(prev);
@@ -124,6 +146,84 @@ pub fn push_relabel_cancel(
         }
     }
     Ok((Matching::from_mates(rmate, cmate), stats))
+}
+
+/// Buffers of the global relabel's breadth-first search, kept across calls.
+#[derive(Default)]
+struct Search {
+    frontier: Vec<VertexId>,
+    next: Vec<VertexId>,
+    /// Columns not yet reached (possibly stale: filtered when swept).
+    rest: Vec<VertexId>,
+}
+
+/// Set every column label to its exact alternating distance to a free
+/// column: a breadth-first search from the free columns that steps from a
+/// column to each of its rows' mates. Columns it does not reach get
+/// `limit`, so the rows whose columns all lie there retire at their next
+/// pop.
+///
+/// The search is direction-optimizing (Beamer et al.): a level whose
+/// frontier has fewer edges than the unreached columns' mates expands
+/// top-down; otherwise every unreached column checks whether its mate has
+/// a neighbour on the frontier, stopping at the first. A cold start
+/// (every column free) then costs `O(n_c)` instead of a full sweep.
+fn global_relabel(
+    g: &BipartiteGraph,
+    rmate: &[VertexId],
+    cmate: &[VertexId],
+    psi: &mut [u32],
+    limit: u32,
+    search: &mut Search,
+) {
+    let Search { frontier, next, rest } = search;
+    frontier.clear();
+    rest.clear();
+    // Adjacency entries of the unreached columns' mates.
+    let mut rest_edges = 0usize;
+    for (c, (p, &mate)) in psi.iter_mut().zip(cmate).enumerate() {
+        if mate == NIL {
+            *p = 0;
+            frontier.push(c as VertexId);
+        } else {
+            *p = limit;
+            rest.push(c as VertexId);
+            rest_edges += g.row_degree(mate as usize);
+        }
+    }
+    let mut level = 0u32;
+    while !frontier.is_empty() && rest_edges > 0 {
+        next.clear();
+        let frontier_edges: usize = frontier.iter().map(|&c| g.col_degree(c as usize)).sum();
+        if frontier_edges < rest_edges {
+            for &c in frontier.iter() {
+                for &r in g.col_adj(c as usize) {
+                    let c2 = rmate[r as usize];
+                    if c2 != NIL && psi[c2 as usize] == limit {
+                        psi[c2 as usize] = level + 1;
+                        next.push(c2);
+                        rest_edges -= g.row_degree(r as usize);
+                    }
+                }
+            }
+        } else {
+            rest.retain(|&c2| {
+                if psi[c2 as usize] != limit {
+                    return false;
+                }
+                let r = cmate[c2 as usize] as usize;
+                if !g.row_adj(r).iter().any(|&c| psi[c as usize] == level) {
+                    return true;
+                }
+                psi[c2 as usize] = level + 1;
+                next.push(c2);
+                rest_edges -= g.row_degree(r);
+                false
+            });
+        }
+        std::mem::swap(frontier, next);
+        level += 1;
+    }
 }
 
 #[cfg(test)]
@@ -217,6 +317,57 @@ mod tests {
         assert_eq!(push_relabel(&g).cardinality(), 0);
         let g = graph(&[&[1], &[1], &[1], &[1]]);
         assert_eq!(push_relabel(&g).cardinality(), 1);
+    }
+
+    #[test]
+    fn global_relabel_bounds_pushes_on_deficient_instances() {
+        // Without global relabeling, rows with no augmenting path retire
+        // only after their columns' labels have climbed to `n_c + 1` one
+        // bid at a time: about 1.57M pushes here, cold or warm.
+        let g = dsmatch_gen::erdos_renyi_square(2000, 4.0, 13);
+        let opt = hopcroft_karp(&g).cardinality();
+        let budget = 10 * (g.nrows() + g.ncols());
+        let cold = Matching::new(g.nrows(), g.ncols());
+        let warm = dsmatch_core::cheap_random_edge(&g, 1);
+        for (start, init) in [("cold", cold), ("warm", warm)] {
+            let (m, stats) = push_relabel_from(&g, init);
+            m.verify(&g).unwrap();
+            assert_eq!(m.cardinality(), opt, "{start}");
+            assert!(stats.pushes <= budget, "{start}: {stats:?}");
+            assert!(stats.global_relabels >= 1, "{start}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn global_relabel_sets_exact_distances() {
+        // A plain top-down search is the reference for the
+        // direction-optimizing one, on warm starts of several densities
+        // (so both expansion directions run) with some pairs dropped.
+        for (n, d, seed) in [(50, 1.5, 1), (400, 3.0, 2), (400, 8.0, 3), (1000, 20.0, 4)] {
+            let g = dsmatch_gen::erdos_renyi_square(n, d, seed);
+            let warm = dsmatch_core::cheap_random_edge(&g, seed);
+            let mut m = Matching::new(n, n);
+            for (r, c) in warm.iter_pairs().filter(|&(r, _)| r % 7 != 0) {
+                m.set(r, c);
+            }
+            let limit = n as u32 + 1;
+            let mut reference = vec![limit; n];
+            let mut queue: std::collections::VecDeque<usize> =
+                (0..n).filter(|&c| m.cmate(c) == NIL).collect();
+            queue.iter().for_each(|&c| reference[c] = 0);
+            while let Some(c) = queue.pop_front() {
+                for &r in g.col_adj(c) {
+                    let c2 = m.rmate(r as usize) as usize;
+                    if c2 != NIL as usize && reference[c2] == limit {
+                        reference[c2] = reference[c] + 1;
+                        queue.push_back(c2);
+                    }
+                }
+            }
+            let mut psi = vec![0; n];
+            global_relabel(&g, m.rmates(), m.cmates(), &mut psi, limit, &mut Search::default());
+            assert_eq!(psi, reference, "n = {n}, d = {d}");
+        }
     }
 
     #[test]

@@ -399,7 +399,13 @@ pub(crate) fn run_augment(
             (m, counted(s.augmentations, None))
         }
         AlgorithmKind::PushRelabel => {
-            (push_relabel_cancel(g, initial.unwrap_or_else(cold), token)?.0, StageReport::default())
+            // Push-relabel has no augmenting paths of its own; its net
+            // effect is the growth in cardinality.
+            let initial = initial.unwrap_or_else(cold);
+            let before = initial.cardinality();
+            let (m, _) = push_relabel_cancel(g, initial, token)?;
+            let grown = m.cardinality() - before;
+            (m, counted(grown, None))
         }
         AlgorithmKind::BfsAugment => {
             let (m, s) = bfs_augment_from(g, initial.unwrap_or_else(cold));

@@ -1,7 +1,6 @@
 //! The algorithm registry: every matching algorithm in the workspace under
 //! one enum, each usable as a pipeline stage.
 
-use dsmatch_graph::stats::InstanceStats;
 use dsmatch_graph::BipartiteGraph;
 
 /// Every matching algorithm the workspace implements.
@@ -57,15 +56,12 @@ pub enum AlgorithmKind {
     ///
     /// [`PothenFanPar`]: AlgorithmKind::PothenFanPar
     PothenFanGraft,
-    /// Exact: statistics-driven auto-selection between [`PushRelabel`],
-    /// [`HopcroftKarpPar`] and [`PothenFanGraft`] (see [`select_finisher`])
-    /// — the Kaya–Langguth–Manne–Uçar (2013) finding that the winning
-    /// finisher is matrix-family-dependent, as a registry entry. The
-    /// choice lands in the stage report's `selected` field.
+    /// Exact: fill-driven auto-selection between [`PushRelabel`] and
+    /// [`HopcroftKarpPar`] (see [`select_finisher`]). The choice lands in
+    /// the stage report's `selected` field.
     ///
     /// [`PushRelabel`]: AlgorithmKind::PushRelabel
     /// [`HopcroftKarpPar`]: AlgorithmKind::HopcroftKarpPar
-    /// [`PothenFanGraft`]: AlgorithmKind::PothenFanGraft
     Auto,
 }
 
@@ -220,33 +216,30 @@ impl std::fmt::Display for WeightedKind {
     }
 }
 
-/// Pick the exact finisher for an instance from its shape statistics — the
-/// policy behind [`AlgorithmKind::Auto`].
+/// Pick the exact finisher for an instance from its fill — the policy
+/// behind [`AlgorithmKind::Auto`].
 ///
-/// Kaya–Langguth–Manne–Uçar (2013) measured that no augmenting-path or
-/// push-relabel solver wins across matrix families; the family signals they
-/// identify map onto two cheap shape measures:
+/// The finisher matrix in `BENCH_finishers.json` (written by the bench
+/// crate's `finishers` bin) times `pr`, `hk-par` and `pf-graft` on the
+/// Table-3 surrogates, nine `er` instances, `rmat` and the adversarial
+/// Karp–Sipser instance, warm and cold, at 1 and 2 threads:
 ///
-/// - **dense** instances (fill ≥ 5%) have short augmenting paths and wide
-///   BFS levels — Hopcroft–Karp's shortest-path phases shine, so `hk-par`;
-/// - **skewed** degree sequences (coefficient of variation > 1 on either
-///   side, the RMAT/power-law regime) imbalance BFS forests, while
-///   push-relabel's local row-by-row bidding is indifferent to hubs, so
-///   `pr`;
-/// - everything else — the uniform sparse regime of `gen:er` and meshes —
-///   goes to the grafted Pothen–Fan forest, `pf-graft`.
+/// - **sparse** instances (fill < 5 %), skewed or not, go to push-relabel,
+///   `pr`: with global relabeling it is the fastest engine on nearly
+///   every sparse row and within 2× of the fastest on all of them;
+/// - **dense** instances (fill ≥ 5 %) keep `hk-par`. The matrix does not
+///   settle this branch: its one dense row, the adversarial instance, is
+///   fastest on `pr` cold and a sub-millisecond tie warm, and no
+///   benchmark workload is dense.
 ///
-/// The policy is deterministic, costs one O(n + m) statistics pass
-/// ([`InstanceStats`]), and is pinned per generator family by the
-/// engine-matrix tests.
+/// The policy is deterministic and reads only `nnz / (nrows · ncols)`, in
+/// O(1); the engine-matrix tests pin it per generator family.
 pub fn select_finisher(g: &BipartiteGraph) -> AlgorithmKind {
-    let stats = InstanceStats::of(g.csr());
-    if stats.density() >= 0.05 {
+    let cells = g.nrows() as f64 * g.ncols() as f64;
+    if cells > 0.0 && g.nnz() as f64 >= 0.05 * cells {
         AlgorithmKind::HopcroftKarpPar
-    } else if stats.degree_skew() > 1.0 {
-        AlgorithmKind::PushRelabel
     } else {
-        AlgorithmKind::PothenFanGraft
+        AlgorithmKind::PushRelabel
     }
 }
 
@@ -319,14 +312,14 @@ mod tests {
         let dense =
             BipartiteGraph::from_csr(Csr::from_dense(&[&[1, 1, 1], &[1, 1, 1], &[1, 1, 1]]));
         assert_eq!(select_finisher(&dense), AlgorithmKind::HopcroftKarpPar);
-        // Sparse + uniform (one diagonal) ⇒ pf-graft.
+        // Sparse + uniform (one diagonal) ⇒ pr.
         let mut t = dsmatch_graph::TripletMatrix::new(100, 100);
         for i in 0..100 {
             t.push(i, i);
         }
         let uniform = BipartiteGraph::from_csr(t.into_csr());
-        assert_eq!(select_finisher(&uniform), AlgorithmKind::PothenFanGraft);
-        // Sparse + one hub column (star + diagonal) ⇒ skew > 1 ⇒ pr.
+        assert_eq!(select_finisher(&uniform), AlgorithmKind::PushRelabel);
+        // Sparse + one hub column (star + diagonal) ⇒ pr as well.
         let mut t = dsmatch_graph::TripletMatrix::new(100, 100);
         for i in 0..100 {
             t.push(i, i);
@@ -334,6 +327,9 @@ mod tests {
         }
         let skewed = BipartiteGraph::from_csr(t.into_csr());
         assert_eq!(select_finisher(&skewed), AlgorithmKind::PushRelabel);
+        // Empty shapes are sparse.
+        let empty = BipartiteGraph::from_csr(Csr::empty(0, 5));
+        assert_eq!(select_finisher(&empty), AlgorithmKind::PushRelabel);
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn all_algorithms_valid_on_all_families() {
             })
             .collect();
         // All eight exact engines (incl. `hk-par`/`pf-par`/`pf-graft` and
-        // the statistics-driven `auto`) agree.
+        // the fill-driven `auto`) agree.
         assert!(
             exact_cards.windows(2).all(|w| w[0] == w[1]),
             "{name}: exact engines disagree: {exact_cards:?}"
@@ -54,16 +54,15 @@ fn all_algorithms_valid_on_all_families() {
 
 #[test]
 fn auto_finisher_choice_is_family_dependent_and_reported() {
-    // The Kaya–Langguth–Manne–Uçar motivation for `auto`: different
-    // families have different winning finishers. Pin the policy's pick on
-    // three families spanning all three outcomes — the uniform sparse
-    // `er_d4` (grafted forest), the heavy-tailed `rmat` (push-relabel,
-    // degree CV ≈ 2.5), and the dense-blocked `adversarial` (fill ≈ 27%,
-    // Hopcroft–Karp) — and check the pick surfaces as the augment stage's
+    // `auto` reads only the fill (`BENCH_finishers.json` is its evidence),
+    // so it has two outcomes. Pin them on three families: the uniform
+    // sparse `er_d4` and the heavy-tailed `rmat` (degree CV ≈ 2.5) both go
+    // to push-relabel, and the dense-blocked `adversarial` (fill ≈ 27%)
+    // to Hopcroft–Karp. Check the pick surfaces as the augment stage's
     // `selected` field in both the report struct and its JSON.
     use dsmatch::engine::select_finisher;
     let expected = [
-        ("er_d4", AlgorithmKind::PothenFanGraft),
+        ("er_d4", AlgorithmKind::PushRelabel),
         ("rmat", AlgorithmKind::PushRelabel),
         ("adversarial", AlgorithmKind::HopcroftKarpPar),
     ];
@@ -83,6 +82,27 @@ fn auto_finisher_choice_is_family_dependent_and_reported() {
             json.contains(&format!("\"selected\":\"{}\"", want.name())),
             "{name}: selected engine missing from JSON: {json}"
         );
+    }
+}
+
+#[test]
+fn every_finisher_reports_its_augmentations() {
+    // Each augmenting path adds one matched pair, so every exact finisher
+    // reports `augmentations` = final − heuristic cardinality. `pr` has no
+    // paths of its own and reports that growth directly.
+    let families = families();
+    for a in AlgorithmKind::all().into_iter().filter(AlgorithmKind::is_exact) {
+        for (name, g) in &families {
+            let pipeline: Pipeline = format!("cheap,{a}").parse().unwrap();
+            let report = pipeline.solve(g, &mut Workspace::new());
+            let heuristic = report.stages[0].cardinality.unwrap();
+            let augment = report.stages.last().unwrap();
+            assert_eq!(
+                augment.augmentations,
+                Some(report.cardinality() - heuristic),
+                "{a} on {name}"
+            );
+        }
     }
 }
 
