@@ -1,9 +1,8 @@
-//! Criterion micro-benchmarks for the weighted-matching substrate
-//! (related-work baselines: greedy, path growing, Suitor).
+//! Criterion micro-benchmark of the weighted workload's kernel, Suitor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dsmatch_graph::SplitMix64;
-use dsmatch_weighted::{greedy_weighted, path_growing, suitor, suitor_parallel, WeightedGraph};
+use dsmatch_weighted::{suitor, WeightedGraph};
 
 fn random_weighted(n: usize, extra: usize, seed: u64) -> WeightedGraph {
     let mut rng = SplitMix64::new(seed);
@@ -24,18 +23,7 @@ fn bench_weighted(c: &mut Criterion) {
     group.sample_size(15);
     let g = random_weighted(100_000, 200_000, 42);
     group.throughput(Throughput::Elements(g.edge_count() as u64));
-    group.bench_with_input(BenchmarkId::from_parameter("greedy"), &g, |b, g| {
-        b.iter(|| greedy_weighted(g))
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("path_growing"), &g, |b, g| {
-        b.iter(|| path_growing(g))
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("suitor_seq"), &g, |b, g| {
-        b.iter(|| suitor(g))
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("suitor_par"), &g, |b, g| {
-        b.iter(|| suitor_parallel(g))
-    });
+    group.bench_with_input(BenchmarkId::from_parameter("suitor"), &g, |b, g| b.iter(|| suitor(g)));
     group.finish();
 }
 

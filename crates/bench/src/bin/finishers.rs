@@ -3,8 +3,10 @@
 //!
 //! Rows: the 11 distinct Table-3 surrogates (`venturiLevel3` repeats
 //! `atmosmodl`'s mesh), `erdos_renyi_square` with average degree 8 (seeds
-//! 1–6) and 4 (seeds 1–3), `rmat(17, 8)` and `adversarial_ks(4000, 8)`;
-//! all at `--n` rows unless named. Each instance runs from two starts:
+//! 1–6) and 4 (seeds 1–3), and `rmat(17, 8)`, all at `--n` rows; then the
+//! dense rows at fixed sizes: `erdos_renyi_square(4000, 400)` (seeds 1–3)
+//! and `(8000, 800)` (seed 1), fill ≈ 9.5 %, and `adversarial_ks(4000, 8)`
+//! and `(8000, 16)`, fill ≈ 25 %. Each instance runs from two starts:
 //! `warm`, the `scale:sk:5,two` matching (computed once, on one thread),
 //! and `cold`, the empty matching.
 //!
@@ -80,7 +82,12 @@ fn instances(n: usize) -> Vec<(String, BipartiteGraph)> {
         }
     }
     out.push(("rmat:17:8".into(), rmat(17, 8.0, RmatParams::GRAPH500, 1)));
-    out.push(("adversarial_ks:4000:8".into(), adversarial_ks(4000, 8)));
+    for (n, d, s) in [(4000, 400.0, 1), (4000, 400.0, 2), (4000, 400.0, 3), (8000, 800.0, 1)] {
+        out.push((format!("er:{n}:{d}:s{s}"), erdos_renyi_square(n, d, s)));
+    }
+    for (n, k) in [(4000, 8), (8000, 16)] {
+        out.push((format!("adversarial_ks:{n}:{k}"), adversarial_ks(n, k)));
+    }
     out
 }
 

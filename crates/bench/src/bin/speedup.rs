@@ -20,16 +20,13 @@
 //! - `pf_par_finish` / `hk_par_finish` / `pf_graft_finish` / `pr_finish` /
 //!   `auto_finish` — the exact finishers (`pf-par` tree-grafting BFS,
 //!   `hk-par` level-synchronized BFS, `pf-graft` incremental tree
-//!   grafting, `pr` push-relabel, and the fill-driven `auto` pick)
+//!   grafting, `pr` push-relabel, and `auto`'s pick, which is `pr`)
 //!   warm-started from a pre-computed two-sided heuristic matching: only
 //!   finisher work (the paper pipelines' last sequential bottleneck) is
 //!   timed. Finishers with phase structure also report their
 //!   deterministic phase count (measured once, untimed) — the work
 //!   measure behind `pf-graft`'s fewer-forest-rebuilds win, gated by
 //!   `trendcheck`;
-//! - `suitor_par` — the parallel suitor weighted matching on the
-//!   scaling-entry weights (grammar v2's `scale:sk:5,suitor-par`
-//!   workload), graph built once untimed so only matching work is timed;
 //! - `batch32` — 32 small instances solved through
 //!   [`Pipeline::solve_batch`] over a per-worker [`WorkspacePool`] of the
 //!   ladder's thread count: batch-level parallelism, one stealable task
@@ -50,9 +47,8 @@
 //! ```
 
 use dsmatch::engine::{
-    select_finisher, weighted_view, AlgorithmKind, Json, Pipeline, Solver, Workspace, WorkspacePool,
+    select_finisher, AlgorithmKind, Json, Pipeline, Solver, Workspace, WorkspacePool,
 };
-use dsmatch::weighted::suitor_parallel;
 use dsmatch_bench::{arg, write_json_file, Table};
 use dsmatch_core::{karp_sipser_mt_ws, two_sided_choices, KsMtScratch};
 use dsmatch_exact::{
@@ -127,11 +123,6 @@ fn main() {
     let scaling = sinkhorn_knopp(&g, &ScalingConfig::iterations(5));
     let (rchoice, cchoice) = two_sided_choices(&g, &scaling, seed);
 
-    // The weighted view of the instance (scaling entries as edge weights,
-    // the engine's probability bridge), built once untimed so the
-    // `suitor_par` kernel times matching work only.
-    let wg = weighted_view(&g, &scaling);
-
     let ts = ladder(max_threads);
     let mut table = Table::new(
         std::iter::once("kernel".to_string())
@@ -160,7 +151,6 @@ fn main() {
     let mut pf_par_ws = AugmentWorkspace::new();
     let mut hk_par_ws = AugmentWorkspace::new();
     let mut pf_graft_ws = AugmentWorkspace::new();
-    let mut auto_ws = AugmentWorkspace::new();
 
     // Deterministic phase counts of the finisher kernels, one untimed run
     // each (byte-identical at every pool size, so also phase-identical).
@@ -171,12 +161,11 @@ fn main() {
     let pf_graft_phases =
         pothen_fan_graft_ws(&g, Some(&finisher_init), &mut AugmentWorkspace::new()).1.phases;
 
-    // The fill-driven pick, resolved once (the policy is a pure
-    // function of the instance) and dispatched directly so the kernel
-    // times only finisher work — the engine would add pipeline plumbing.
+    // `auto` runs push-relabel on every instance; its kernel calls the
+    // engine directly so it times only finisher work — the pipeline would
+    // add plumbing.
     let auto_pick = select_finisher(&g);
-    let auto_phases = (auto_pick == AlgorithmKind::HopcroftKarpPar).then_some(hk_par_phases);
-    println!("auto finisher pick for this instance: {auto_pick}");
+    assert_eq!(auto_pick, AlgorithmKind::PushRelabel, "auto_finish times push-relabel");
 
     let mut kernels: Vec<Kernel> = vec![
         Kernel {
@@ -248,13 +237,6 @@ fn main() {
             phases: Some(pf_graft_phases),
         },
         Kernel {
-            name: "suitor_par",
-            run: Box::new(|| {
-                std::hint::black_box(suitor_parallel(&wg).cardinality());
-            }),
-            phases: None,
-        },
-        Kernel {
             name: "pr_finish",
             // `push_relabel_from` consumes its warm start; the O(n) clone
             // is timed but is noise next to the O(nnz)+ augmentation work.
@@ -266,14 +248,9 @@ fn main() {
         Kernel {
             name: "auto_finish",
             run: Box::new(|| {
-                std::hint::black_box(match auto_pick {
-                    AlgorithmKind::HopcroftKarpPar => {
-                        hopcroft_karp_par_ws(&g, Some(&finisher_init), &mut auto_ws).0.cardinality()
-                    }
-                    _ => push_relabel_from(&g, finisher_init.clone()).0.cardinality(),
-                });
+                std::hint::black_box(push_relabel_from(&g, finisher_init.clone()).0.cardinality());
             }),
-            phases: auto_phases,
+            phases: None,
         },
     ];
 

@@ -1,4 +1,5 @@
-//! Sequential ½-approximation baselines for maximum weight matching.
+//! Global greedy ½-approximation for maximum weight matching: the
+//! reference [`crate::suitor`] is tested against.
 
 use dsmatch_graph::UndirectedMatching;
 
@@ -18,50 +19,6 @@ pub fn greedy_weighted(g: &WeightedGraph) -> UndirectedMatching {
     for (_, u, v) in edges {
         if !m.is_matched(u as usize) && !m.is_matched(v as usize) {
             m.set(u as usize, v as usize);
-        }
-    }
-    m
-}
-
-/// Drake–Hougardy path growing: repeatedly extend a path from an arbitrary
-/// uncovered vertex along the heaviest incident remaining edge, splitting
-/// the collected edges into two alternating sets and keeping the heavier.
-/// Also a ½-approximation, with a single pass over the adjacency.
-pub fn path_growing(g: &WeightedGraph) -> UndirectedMatching {
-    let n = g.n();
-    let mut used = vec![false; n];
-    let mut m = UndirectedMatching::new(n);
-    // The two alternating edge sets of the current path.
-    let mut sets: [Vec<(u32, u32)>; 2] = [Vec::new(), Vec::new()];
-
-    for start in 0..n {
-        if used[start] || g.topology().degree(start) == 0 {
-            continue;
-        }
-        sets[0].clear();
-        sets[1].clear();
-        let mut weights = [0.0f64; 2];
-        let mut parity = 0usize;
-        let mut v = start;
-        used[v] = true;
-        loop {
-            // Heaviest edge to an unused neighbour.
-            let mut best: Option<(u32, f64)> = None;
-            for (u, w) in g.adj(v) {
-                if !used[u as usize] && best.is_none_or(|(_, bw)| w > bw) {
-                    best = Some((u, w));
-                }
-            }
-            let Some((u, w)) = best else { break };
-            sets[parity].push((v as u32, u));
-            weights[parity] += w;
-            parity ^= 1;
-            v = u as usize;
-            used[v] = true;
-        }
-        let keep = if weights[0] >= weights[1] { 0 } else { 1 };
-        for &(a, b) in &sets[keep] {
-            m.set(a as usize, b as usize);
         }
     }
     m
@@ -102,7 +59,7 @@ mod tests {
     }
 
     #[test]
-    fn path_growing_half_guarantee_on_randoms() {
+    fn greedy_half_guarantee_on_randoms() {
         use dsmatch_graph::SplitMix64;
         let mut rng = SplitMix64::new(31);
         for trial in 0..100 {
@@ -120,11 +77,10 @@ mod tests {
             }
             let g = WeightedGraph::from_weighted_edges(n, &edges);
             let opt = brute_force_max_weight(&g);
-            for m in [greedy_weighted(&g), path_growing(&g)] {
-                m.verify(g.topology()).unwrap();
-                let w = matching_weight(&g, &m);
-                assert!(2.0 * w + 1e-9 >= opt, "trial {trial}: weight {w} < half of {opt}");
-            }
+            let m = greedy_weighted(&g);
+            m.verify(g.topology()).unwrap();
+            let w = matching_weight(&g, &m);
+            assert!(2.0 * w + 1e-9 >= opt, "trial {trial}: weight {w} < half of {opt}");
         }
     }
 
@@ -132,6 +88,5 @@ mod tests {
     fn empty_graph() {
         let g = WeightedGraph::from_weighted_edges(3, &[]);
         assert_eq!(greedy_weighted(&g).cardinality(), 0);
-        assert_eq!(path_growing(&g).cardinality(), 0);
     }
 }

@@ -2,26 +2,21 @@
 //!
 //! The paper's related-work section surveys shared-memory heuristics for
 //! *weighted* graph matching (Halappanavar et al. \[16\], Fagginger Auer &
-//! Bisseling \[15\], Çatalyürek et al. \[6\]). This crate implements that
-//! substrate so the workspace covers the full landscape the paper situates
-//! itself in:
+//! Bisseling \[15\], Çatalyürek et al. \[6\]). This crate implements
+//! Suitor, the engine's weighted workload, and the global greedy algorithm
+//! it is tested against:
 //!
+//! - [`suitor`] — the Suitor algorithm (Manne & Halappanavar, IPDPS
+//!   2014): every vertex proposes to its heaviest-reachable neighbour,
+//!   proposals displace weaker suitors, and displaced vertices
+//!   re-propose. It keeps each standing offer's weight beside its holder,
+//!   so checking a candidate against it is O(1) and the run reads only
+//!   the proposers' rows.
 //! - [`greedy_weighted`] — sort edges by decreasing weight and take every
-//!   edge whose endpoints are free. The classical ½-approximation for
-//!   maximum weight matching.
-//! - [`suitor`] / [`suitor_parallel`] — the Suitor algorithm (Manne &
-//!   Halappanavar, IPDPS 2014): every vertex proposes to its
-//!   heaviest-reachable neighbour, proposals displace weaker suitors, and
-//!   displaced vertices re-propose. Produces **the same matching as the
-//!   greedy algorithm** under consistent tie-breaking, with far better
-//!   locality and a natural lock-free parallelization — the same design
-//!   philosophy as the paper's `KarpSipserMT`. The sequential [`suitor`]
-//!   keeps each standing offer's weight beside its holder, so checking a
-//!   candidate against it is O(1) and the run reads only the proposers'
-//!   rows; [`suitor_parallel`] looks the offer's weight up by holder,
-//!   since its compare-and-swap claims one word.
-//! - [`path_growing`] — the Drake–Hougardy path-growing ½-approximation,
-//!   a further sequential baseline.
+//!   edge whose endpoints are free: the classical ½-approximation for
+//!   maximum weight matching. Under the same tie-breaking it produces
+//!   **the same matching as [`suitor`]**, which the tests check; it is
+//!   the reference, not a workload.
 //!
 //! Weights are attached to an [`dsmatch_graph::UndirectedGraph`] through
 //! [`WeightedGraph`], which stores one `f64` per stored (directed) entry.
@@ -41,8 +36,8 @@ mod greedy;
 mod suitor;
 
 pub use graph::WeightedGraph;
-pub use greedy::{greedy_weighted, path_growing};
-pub use suitor::{suitor, suitor_parallel};
+pub use greedy::greedy_weighted;
+pub use suitor::suitor;
 
 use dsmatch_graph::UndirectedMatching;
 

@@ -6,19 +6,15 @@
 //! it can beat; a displaced suitor immediately re-proposes elsewhere. With
 //! a total order on edges the fixed point is unique and **identical to the
 //! matching found by the global greedy algorithm**, but the computation is
-//! local per vertex — which is what makes the lock-free parallel version
-//! correct: conflicting proposals are resolved with a single
-//! compare-and-swap per slot, the loser simply retries, exactly the
-//! conflict-resolution pattern of the paper's `KarpSipserMT`.
+//! local per vertex: a proposal reads only the proposer's row, with no
+//! global sort.
 //!
 //! Edges are ordered by `(weight, −min(u,v), −max(u,v))` — heavier first,
 //! then lexicographically smaller endpoints — matching
 //! [`crate::greedy_weighted`]'s sort, so the two agree bitwise (tested).
 
 use dsmatch_graph::{UndirectedMatching, VertexId, NIL};
-use rayon::prelude::*;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU32, Ordering as AtOrd};
 
 use crate::graph::WeightedGraph;
 
@@ -37,43 +33,8 @@ fn edge_cmp(w1: f64, u1: usize, v1: usize, w2: f64, u2: usize, v2: usize) -> Ord
     }
 }
 
-/// Whether `cand`'s proposal of weight `w` to `p` beats the standing offer
-/// there: `holder`'s, whose weight `holder_w` yields (any proposal beats
-/// no offer, and then `holder_w` is not called).
-#[inline]
-fn beats_offer(
-    cand: usize,
-    p: usize,
-    w: f64,
-    holder: VertexId,
-    holder_w: impl FnOnce() -> f64,
-) -> bool {
-    holder == NIL || edge_cmp(w, cand, p, holder_w(), holder as usize, p) == Ordering::Greater
-}
-
-/// The heaviest neighbour `p` of `current` for which `can_beat(p, w)`
-/// holds, with the weight `w` of the edge to it.
-#[inline]
-fn best_target(
-    g: &WeightedGraph,
-    current: usize,
-    can_beat: impl Fn(usize, f64) -> bool,
-) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (p, w) in g.adj(current) {
-        let p = p as usize;
-        if can_beat(p, w)
-            && best.is_none_or(|(bp, bw)| {
-                edge_cmp(w, current, p, bw, current, bp) == Ordering::Greater
-            })
-        {
-            best = Some((p, w));
-        }
-    }
-    best
-}
-
-/// Sequential Suitor.
+/// Suitor: ½-approximate maximum weight matching, identical to
+/// [`crate::greedy_weighted`]'s.
 ///
 /// Every vertex `p` keeps its standing offer as a pair: the holder
 /// `suitor_of[p]` and `offer[p]`, the weight of the holder's edge to `p`,
@@ -100,11 +61,25 @@ pub fn suitor(g: &WeightedGraph) -> UndirectedMatching {
     let mut offer: Vec<f64> = vec![0.0; n];
     for start in 0..n {
         let mut current = start;
-        // Propose to the heaviest neighbour whose standing offer `current`
-        // beats; a displaced holder re-proposes in turn.
-        while let Some((p, w)) =
-            best_target(g, current, |p, w| beats_offer(current, p, w, suitor_of[p], || offer[p]))
-        {
+        loop {
+            // The heaviest neighbour whose standing offer `current` beats
+            // (any proposal beats no offer).
+            let mut best: Option<(usize, f64)> = None;
+            for (p, w) in g.adj(current) {
+                let p = p as usize;
+                let holder = suitor_of[p];
+                let beats_offer = holder == NIL
+                    || edge_cmp(w, current, p, offer[p], holder as usize, p) == Ordering::Greater;
+                if beats_offer
+                    && best.is_none_or(|(bp, bw)| {
+                        edge_cmp(w, current, p, bw, current, bp) == Ordering::Greater
+                    })
+                {
+                    best = Some((p, w));
+                }
+            }
+            let Some((p, w)) = best else { break };
+            // Propose; a displaced holder re-proposes in turn.
             let prev = std::mem::replace(&mut suitor_of[p], current as VertexId);
             offer[p] = w;
             if prev == NIL {
@@ -113,54 +88,6 @@ pub fn suitor(g: &WeightedGraph) -> UndirectedMatching {
             current = prev as usize;
         }
     }
-    extract(&suitor_of)
-}
-
-/// Lock-free parallel Suitor: proposals land with compare-and-swap; a
-/// losing CAS re-evaluates and retries. Produces the same matching as
-/// [`suitor`] (the fixed point is unique under the total edge order).
-///
-/// The CAS swaps one word, the holder, so the weight of a standing offer
-/// is looked up in `p`'s row by holder (a weight stored beside it could be
-/// read stale).
-pub fn suitor_parallel(g: &WeightedGraph) -> UndirectedMatching {
-    let n = g.n();
-    let suitor_of: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NIL)).collect();
-    let holder_w = |p: usize, holder: VertexId| {
-        move || g.weight(p, holder as usize).expect("suitor must be a neighbour")
-    };
-    (0..n as u32).into_par_iter().for_each(|start| {
-        let mut current = start as usize;
-        'propose: while let Some((p, w)) = best_target(g, current, |p, w| {
-            let holder = suitor_of[p].load(AtOrd::Acquire);
-            beats_offer(current, p, w, holder, holder_w(p, holder))
-        }) {
-            // Claim the slot; retry the whole selection if the offer at p
-            // improved concurrently.
-            let mut observed = suitor_of[p].load(AtOrd::Acquire);
-            loop {
-                if !beats_offer(current, p, w, observed, holder_w(p, observed)) {
-                    continue 'propose; // lost the race; pick another target
-                }
-                match suitor_of[p].compare_exchange_weak(
-                    observed,
-                    current as VertexId,
-                    AtOrd::AcqRel,
-                    AtOrd::Acquire,
-                ) {
-                    Ok(_) => {
-                        if observed == NIL {
-                            break 'propose;
-                        }
-                        current = observed as usize; // displaced vertex re-proposes
-                        continue 'propose;
-                    }
-                    Err(now) => observed = now,
-                }
-            }
-        }
-    });
-    let suitor_of: Vec<VertexId> = suitor_of.into_iter().map(|a| a.into_inner()).collect();
     extract(&suitor_of)
 }
 
@@ -218,16 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential() {
-        for trial in 0..30 {
-            let g = random_weighted(60, 4, 1000 + trial);
-            let seq = suitor(&g);
-            let par = suitor_parallel(&g);
-            assert_eq!(seq, par, "trial {trial}");
-        }
-    }
-
-    #[test]
     fn half_approximation_guarantee() {
         for trial in 0..50 {
             let g = random_weighted(10, 2, 5000 + trial);
@@ -244,7 +161,7 @@ mod tests {
 
     #[test]
     fn equal_weights_resolved_deterministically() {
-        // All weights equal: tie-breaking must still make seq == par == greedy.
+        // All weights equal: tie-breaking must still make suitor == greedy.
         let mut edges = Vec::new();
         for u in 0..8usize {
             for v in (u + 1)..8 {
@@ -254,9 +171,7 @@ mod tests {
         let g = WeightedGraph::from_weighted_edges(8, &edges);
         let s = suitor(&g);
         let gr = greedy_weighted(&g);
-        let par = suitor_parallel(&g);
         assert_eq!(s, gr);
-        assert_eq!(s, par);
         assert_eq!(s.cardinality(), 4);
     }
 
@@ -266,7 +181,7 @@ mod tests {
         /// Integer weights in 1..=3 make most comparisons weight ties, so
         /// the endpoint tie-break decides them, including the ones against
         /// a stored offer. (The random-weight tests above draw distinct
-        /// weights and never reach it.) All three must still agree.
+        /// weights and never reach it.) Suitor must still equal greedy.
         #[test]
         fn tie_heavy_weights_agree_with_greedy(
             (n, edges) in (2usize..40).prop_flat_map(|n| {
@@ -282,7 +197,6 @@ mod tests {
             let g = WeightedGraph::from_weighted_edges(n, &edges);
             let s = suitor(&g);
             prop_assert_eq!(&s, &greedy_weighted(&g));
-            prop_assert_eq!(&s, &suitor_parallel(&g));
         }
     }
 
@@ -293,26 +207,5 @@ mod tests {
         assert_eq!(m.cardinality(), 1);
         assert!(!m.is_matched(0));
         assert!(!m.is_matched(4));
-    }
-
-    #[test]
-    fn larger_parallel_stress() {
-        // Ring + chords, 20k vertices: parallel must agree with sequential.
-        let n = 20_000;
-        let mut rng = SplitMix64::new(9);
-        let mut edges: Vec<(usize, usize, f64)> =
-            (0..n).map(|v| (v, (v + 1) % n, 1.0 + rng.next_f64())).collect();
-        for _ in 0..n / 2 {
-            let u = rng.next_index(n);
-            let v = rng.next_index(n);
-            if u != v {
-                edges.push((u, v, 1.0 + rng.next_f64()));
-            }
-        }
-        let g = WeightedGraph::from_weighted_edges(n, &edges);
-        let seq = suitor(&g);
-        let par = suitor_parallel(&g);
-        assert_eq!(seq.cardinality(), par.cardinality());
-        assert!((matching_weight(&g, &seq) - matching_weight(&g, &par)).abs() < 1e-9);
     }
 }

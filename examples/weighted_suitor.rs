@@ -4,18 +4,15 @@
 //!
 //! Scenario: a compute cluster pairs nodes for all-reduce communication;
 //! edge weights are link bandwidths, and we want a heavy matching fast.
-//! Compares global greedy, Drake–Hougardy path growing and the Suitor
-//! algorithm (sequential and lock-free parallel), which match greedy's
-//! quality with near-linear parallel scaling.
+//! Compares global greedy with the Suitor algorithm, which finds the same
+//! matching without greedy's global sort.
 //!
 //! ```text
 //! cargo run --release --example weighted_suitor [n]
 //! ```
 
 use dsmatch::prelude::*;
-use dsmatch::weighted::{
-    greedy_weighted, matching_weight, path_growing, suitor, suitor_parallel, WeightedGraph,
-};
+use dsmatch::weighted::{greedy_weighted, matching_weight, suitor, WeightedGraph};
 use std::time::Instant;
 
 fn cluster_topology(n: usize, seed: u64) -> WeightedGraph {
@@ -56,12 +53,9 @@ fn main() {
     };
 
     let gr = run("greedy (sort-based)", &|| greedy_weighted(&g));
-    run("path growing", &|| path_growing(&g));
-    let s = run("suitor (sequential)", &|| suitor(&g));
-    let p = run("suitor (parallel)", &|| suitor_parallel(&g));
+    let s = run("suitor", &|| suitor(&g));
 
     assert_eq!(gr, s, "Suitor must equal greedy under the shared edge order");
-    assert_eq!(s, p, "parallel Suitor must equal sequential");
     println!();
     println!("suitor == greedy (theorem of Manne & Halappanavar), but without the");
     println!("global sort — the same locality-first design as the paper's KarpSipserMT.");

@@ -14,9 +14,9 @@
 //! (`--algo two --iters 5` ≡ `--pipeline scale:sk:5,two`).
 //!
 //! Grammar v2 workloads go beyond the cardinality registry: the weighted
-//! heuristics `greedy-w|path-grow|suitor|suitor-par` match on the scaling
-//! entries as edge weights (`scale:sk:5,suitor` reports a `weight`
-//! alongside cardinality), and a `dm,` prefix (`dm,two,pf`) runs the
+//! workload `suitor` matches on the scaling entries as edge weights
+//! (`scale:sk:5,suitor` reports a `weight` alongside cardinality), and a
+//! `dm,` prefix (`dm,two,pf`) runs the
 //! coarse+fine Dulmage–Mendelsohn decomposition first, solving each fine
 //! block independently with the inner pipeline.
 //!
@@ -98,7 +98,7 @@ fn print_usage() {
     eprintln!(
         "usage: dsmatch <matrix.mtx | gen:er:<n>:<avg_degree>[:<seed>]> \
          [--pipeline [dm,][scale[:sk|ruiz][:iters],]<workload>[,<exact-finisher>]] \
-         (workloads: any --algo name, or weighted greedy-w|path-grow|suitor|suitor-par) \
+         (workloads: any --algo name, or the weighted suitor) \
          [--algo one|two|ks|ksmt|one-out|cheap|cheap-vertex|hk|pf|pr|bfs|hk-par|pf-par|pf-graft|auto] \
          [--iters N] [--seed S] [--batch N] [--batch-par] [--threads T] \
          [--quality] [--json] [--output pairs.txt]\n\

@@ -17,12 +17,11 @@
 //! - [`AlgorithmKind`] — the registry of all fifteen algorithms,
 //!   including the paper's Algorithm 4 (`ksmt`), the §5 one-out undirected
 //!   variant (`one-out`), the multicore exact finishers
-//!   (`hk-par`/`pf-par`/`pf-graft`) and the fill-driven `auto`
-//!   finisher ([`select_finisher`]);
-//! - [`WeightedKind`] — the weighted workload registry
-//!   (`greedy-w`/`path-grow`/`suitor`/`suitor-par`): heuristics that
-//!   match on the scaling entries as edge weights (the paper's matching
-//!   probabilities) and report a `weight` quality axis;
+//!   (`hk-par`/`pf-par`/`pf-graft`) and the `auto` finisher, which runs
+//!   the measured winner, `pr` ([`select_finisher`]);
+//! - `suitor` — the weighted workload: Suitor matching on the scaling
+//!   entries as edge weights (the paper's matching probabilities),
+//!   reporting a `weight` quality axis;
 //! - [`Pipeline`] — a parsed grammar-v2 spec,
 //!   `dm,<pipeline>` or `[scale[:sk|ruiz][:iters],]<workload>[,<exact>]`,
 //!   solvable via the [`Solver`] trait; [`Workload`] is the typed middle
@@ -79,7 +78,7 @@ pub use dsmatch_json::Json;
 pub use pipeline::{
     weighted_view, Pipeline, ScaleMethod, ScaleStage, Solver, Workload, DEFAULT_SCALE_ITERATIONS,
 };
-pub use registry::{select_finisher, AlgorithmKind, WeightedKind};
+pub use registry::{select_finisher, AlgorithmKind};
 pub use report::{SolveReport, StageReport};
 #[cfg(unix)]
 pub use serve::serve_unix_socket;

@@ -16,14 +16,12 @@ use dsmatch_graph::{
     BipartiteGraph, CancelToken, Cancelled, Matching, TripletMatrix, UndirectedGraph, NIL,
 };
 use dsmatch_scale::{ruiz_cancel_into, sinkhorn_knopp_cancel_into, ScalingConfig, ScalingResult};
-use dsmatch_weighted::{
-    greedy_weighted, matching_weight, path_growing, suitor, suitor_parallel, WeightedGraph,
-};
+use dsmatch_weighted::{matching_weight, suitor, WeightedGraph};
 use rayon::prelude::*;
 
-use super::registry::{AlgorithmKind, WeightedKind};
+use super::registry::AlgorithmKind;
 use super::report::{SolveReport, StageReport};
-use super::spec::{SpecError, StageKind};
+use super::spec::{SpecError, StageKind, SUITOR};
 use super::workspace::Workspace;
 
 /// A solver: anything that maps a graph (plus reusable workspace) to an
@@ -80,12 +78,12 @@ pub enum Workload {
     /// A cardinality algorithm from the [`AlgorithmKind`] registry — the
     /// entire v1 grammar.
     Cardinality(AlgorithmKind),
-    /// A weighted heuristic from the [`WeightedKind`] registry, matching
-    /// on the scaling entries `s_ij = d_r[i]·d_c[j]` as edge weights (the
-    /// paper's probability bridge: the doubly stochastic limit assigns
-    /// each entry its probability of being matched, so the weighted
-    /// heuristics chase exactly the edges scaling considers likely).
-    Weighted(WeightedKind),
+    /// `suitor`: Suitor matching on the scaling entries
+    /// `s_ij = d_r[i]·d_c[j]` as edge weights (the paper's probability
+    /// bridge: the doubly stochastic limit assigns each entry its
+    /// probability of being matched, so the weighted workload chases
+    /// exactly the edges scaling considers likely).
+    Weighted,
     /// A `dm,<pipeline>` decomposition solve: the inner pipeline runs on
     /// every non-trivial fine block as an independent, stealable job.
     Decompose(Box<Pipeline>),
@@ -93,13 +91,13 @@ pub enum Workload {
 
 impl Workload {
     /// Whether this workload reads the workspace's scaling factors when no
-    /// explicit `scale` stage precedes it (weighted workloads always do —
-    /// without scaling they degrade to uniform weights; decomposition
-    /// defers the question to its inner pipeline per block).
+    /// explicit `scale` stage precedes it (the weighted workload always
+    /// does — without scaling it sees uniform weights; decomposition defers
+    /// the question to its inner pipeline per block).
     pub fn uses_scaling(&self) -> bool {
         match self {
             Workload::Cardinality(a) => a.uses_scaling(),
-            Workload::Weighted(_) => true,
+            Workload::Weighted => true,
             Workload::Decompose(_) => false,
         }
     }
@@ -115,7 +113,7 @@ impl Workload {
 /// ```text
 /// <pipeline> ::= dm,<pipeline>
 ///              | [scale[:sk|ruiz][:iters],]<workload>[,<exact-finisher>]
-/// <workload> ::= <algorithm> | greedy-w | path-grow | suitor | suitor-par
+/// <workload> ::= <algorithm> | suitor
 /// ```
 ///
 /// ```
@@ -129,7 +127,7 @@ impl Workload {
 /// // The Pothen–Fan finisher makes the composition exact.
 /// assert_eq!(report.cardinality(), dsmatch::exact::sprank(&g));
 ///
-/// // v2: weighted workloads report a "weight" quality axis …
+/// // v2: the weighted workload reports a "weight" quality axis …
 /// let weighted: Pipeline = "scale:sk:5,suitor".parse().unwrap();
 /// assert!(weighted.solve(&g, &mut ws).weight.is_some());
 /// // … and dm,<pipeline> solves fine blocks independently.
@@ -140,7 +138,7 @@ impl Workload {
 pub struct Pipeline {
     /// Optional scaling stage. Without it, sampling heuristics draw
     /// uniformly over adjacency lists (the paper's "0 iterations" rows)
-    /// and weighted workloads see uniform weights.
+    /// and the weighted workload sees uniform weights.
     ///
     /// The stage runs (and is timed) whenever present, but only the
     /// sampling workloads ([`Workload::uses_scaling`]) read its
@@ -194,7 +192,7 @@ impl Pipeline {
         }
         parts.push(match &self.workload {
             Workload::Cardinality(a) => a.name().to_string(),
-            Workload::Weighted(w) => w.name().to_string(),
+            Workload::Weighted => SUITOR.to_string(),
             Workload::Decompose(_) => unreachable!("handled above"),
         });
         if let Some(a) = &self.augment {
@@ -218,7 +216,7 @@ fn parse_flat(pairs: &[(&str, StageKind)], spec: &str) -> Result<Pipeline, SpecE
     // A scale token past the first stage was never a workload name.
     let as_workload = |&(token, kind): &(&str, StageKind)| match kind {
         StageKind::Algorithm(a) => Ok(Workload::Cardinality(a)),
-        StageKind::Weighted(w) => Ok(Workload::Weighted(w)),
+        StageKind::Weighted => Ok(Workload::Weighted),
         _ => Err(SpecError::UnknownAlgorithm { name: token.to_string() }),
     };
     let (workload, augment) = match rest {
@@ -228,13 +226,11 @@ fn parse_flat(pairs: &[(&str, StageKind)], spec: &str) -> Result<Pipeline, SpecE
             let workload = as_workload(w)?;
             let finisher = match *f {
                 (_, StageKind::Algorithm(a)) => a,
-                (_, StageKind::Weighted(k)) => {
-                    return Err(SpecError::WeightedAsFinisher { finisher: k });
-                }
+                (_, StageKind::Weighted) => return Err(SpecError::WeightedAsFinisher),
                 (token, _) => return Err(SpecError::UnknownAlgorithm { name: token.to_string() }),
             };
-            if let Workload::Weighted(k) = workload {
-                return Err(SpecError::WeightedWithFinisher { algorithm: k, finisher });
+            if matches!(workload, Workload::Weighted) {
+                return Err(SpecError::WeightedWithFinisher { finisher });
             }
             (workload, Some(finisher))
         }
@@ -532,9 +528,7 @@ impl Pipeline {
             Workload::Cardinality(algo) => timed_stage(algo.name().to_string(), || {
                 run_algorithm(*algo, g, self.seed, ws, token)
             })?,
-            Workload::Weighted(kind) => {
-                timed_stage(kind.name().to_string(), || run_weighted(*kind, g, ws, token))?
-            }
+            Workload::Weighted => timed_stage(SUITOR.to_string(), || run_weighted(g, ws, token))?,
             Workload::Decompose(_) => unreachable!("handled above"),
         };
         let weight = stage.weight;
@@ -700,7 +694,7 @@ impl Pipeline {
 /// The weighted view of `g` under `scaling`: the scaled entries
 /// `s_ij = d_r[i]·d_c[j]` become edge weights (the paper's probability
 /// bridge — the doubly stochastic limit assigns each entry its
-/// probability of being matched, so the weighted heuristics chase exactly
+/// probability of being matched, so the weighted workload chases exactly
 /// the edges scaling considers likely) on one undirected graph over
 /// rows-then-columns, row `i` as vertex `i` and column `j` as vertex
 /// `nrows + j`. Built from the CSR and CSC in `O(n + nnz)`, with no sort
@@ -724,12 +718,11 @@ pub fn weighted_view(g: &BipartiteGraph, scaling: &ScalingResult) -> WeightedGra
     })
 }
 
-/// Run a weighted workload: the selected heuristic matches the
-/// [`weighted_view`] of `g` under the workspace's scaling factors.
-/// Returns the matching translated back to bipartite mates, with its total
-/// weight in an otherwise empty stage report.
+/// Run the weighted workload: [`suitor`] matches the [`weighted_view`] of
+/// `g` under the workspace's scaling factors. Returns the matching
+/// translated back to bipartite mates, with its total weight in an
+/// otherwise empty stage report.
 fn run_weighted(
-    kind: WeightedKind,
     g: &BipartiteGraph,
     ws: &mut Workspace,
     token: &CancelToken,
@@ -738,12 +731,7 @@ fn run_weighted(
     let n_r = g.nrows();
     let wg = weighted_view(g, &ws.scaling);
     token.check()?;
-    let um = match kind {
-        WeightedKind::GreedyWeighted => greedy_weighted(&wg),
-        WeightedKind::PathGrowing => path_growing(&wg),
-        WeightedKind::Suitor => suitor(&wg),
-        WeightedKind::SuitorParallel => suitor_parallel(&wg),
-    };
+    let um = suitor(&wg);
     let weight = matching_weight(&wg, &um);
     let mut matching = Matching::new(n_r, g.ncols());
     for (u, v) in um.iter_pairs() {
@@ -773,12 +761,10 @@ mod tests {
             "scale:sk:5,two,auto",
             "pf-par",
             "auto",
-            // v2: weighted workloads and decomposition prefixes.
+            // v2: the weighted workload and decomposition prefixes.
             "scale:sk:5,suitor",
-            "greedy-w",
-            "path-grow",
-            "suitor-par",
-            "scale:ruiz:3,greedy-w",
+            "suitor",
+            "scale:ruiz:3,suitor",
             "dm,two,pf",
             "dm,scale:sk:5,two",
             "dm,hk",
@@ -830,15 +816,17 @@ mod tests {
         ));
         assert_eq!(
             "suitor,hk".parse::<Pipeline>().unwrap_err(),
-            SpecError::WeightedWithFinisher {
-                algorithm: WeightedKind::Suitor,
-                finisher: AlgorithmKind::HopcroftKarp,
-            },
+            SpecError::WeightedWithFinisher { finisher: AlgorithmKind::HopcroftKarp },
         );
-        assert_eq!(
-            "two,suitor".parse::<Pipeline>().unwrap_err(),
-            SpecError::WeightedAsFinisher { finisher: WeightedKind::Suitor },
-        );
+        assert_eq!("two,suitor".parse::<Pipeline>().unwrap_err(), SpecError::WeightedAsFinisher);
+        // The removed weighted workloads are unknown names now.
+        for spec in ["scale:sk:5,greedy-w", "path-grow", "scale:sk:5,suitor-par"] {
+            let name = spec.rsplit(',').next().unwrap();
+            assert_eq!(
+                spec.parse::<Pipeline>().unwrap_err(),
+                SpecError::UnknownAlgorithm { name: name.into() },
+            );
+        }
         // Mid-spec scale tokens were never workload names — the v1 error.
         assert_eq!(
             "scale:sk:5,scale,two".parse::<Pipeline>().unwrap_err(),

@@ -56,12 +56,11 @@ pub enum AlgorithmKind {
     ///
     /// [`PothenFanPar`]: AlgorithmKind::PothenFanPar
     PothenFanGraft,
-    /// Exact: fill-driven auto-selection between [`PushRelabel`] and
-    /// [`HopcroftKarpPar`] (see [`select_finisher`]). The choice lands in
-    /// the stage report's `selected` field.
+    /// Exact: the measured finisher, [`PushRelabel`] on every instance
+    /// (see [`select_finisher`]). The choice lands in the stage report's
+    /// `selected` field.
     ///
     /// [`PushRelabel`]: AlgorithmKind::PushRelabel
-    /// [`HopcroftKarpPar`]: AlgorithmKind::HopcroftKarpPar
     Auto,
 }
 
@@ -163,84 +162,20 @@ impl AlgorithmKind {
     }
 }
 
-/// The approximate **maximum-weight** matching heuristics of the
-/// `dsmatch-weighted` crate, usable as a pipeline workload stage.
-///
-/// A weighted stage reads the workspace's current scaling factors as edge
-/// weights — the paper's probability bridge: after doubly stochastic
-/// scaling, entry `s_ij = dr[i]·dc[j]` approximates the probability that
-/// edge `(i, j)` belongs to a perfect matching, so maximizing total weight
-/// chases the most-likely transversal. Without a preceding `scale` stage
-/// the weights are uniform and the heuristics degrade gracefully to
-/// cardinality-style greedy matching.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WeightedKind {
-    /// Sort-by-weight greedy (the classical ½-approximation).
-    GreedyWeighted,
-    /// Drake–Hougardy path-growing (½-approximation).
-    PathGrowing,
-    /// Suitor (Manne & Halappanavar, IPDPS 2014): proposal-based; same
-    /// matching as greedy under consistent tie-breaking, better locality.
-    Suitor,
-    /// Lock-free parallel Suitor (CAS proposals, deterministic result).
-    SuitorParallel,
-}
-
-impl WeightedKind {
-    /// All weighted heuristics, in spec order.
-    pub fn all() -> [WeightedKind; 4] {
-        use WeightedKind::*;
-        [GreedyWeighted, PathGrowing, Suitor, SuitorParallel]
-    }
-
-    /// Short CLI/spec name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WeightedKind::GreedyWeighted => "greedy-w",
-            WeightedKind::PathGrowing => "path-grow",
-            WeightedKind::Suitor => "suitor",
-            WeightedKind::SuitorParallel => "suitor-par",
-        }
-    }
-
-    /// Look up a spec name; `None` when it names no weighted heuristic
-    /// (the spec parser then falls through to its unknown-stage error).
-    pub fn from_name(s: &str) -> Option<WeightedKind> {
-        WeightedKind::all().into_iter().find(|w| w.name() == s)
-    }
-}
-
-impl std::fmt::Display for WeightedKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Pick the exact finisher for an instance from its fill — the policy
-/// behind [`AlgorithmKind::Auto`].
+/// Pick the exact finisher for an instance — the policy behind
+/// [`AlgorithmKind::Auto`]: push-relabel, `pr`, on every instance.
 ///
 /// The finisher matrix in `BENCH_finishers.json` (written by the bench
 /// crate's `finishers` bin) times `pr`, `hk-par` and `pf-graft` on the
-/// Table-3 surrogates, nine `er` instances, `rmat` and the adversarial
-/// Karp–Sipser instance, warm and cold, at 1 and 2 threads:
-///
-/// - **sparse** instances (fill < 5 %), skewed or not, go to push-relabel,
-///   `pr`: with global relabeling it is the fastest engine on nearly
-///   every sparse row and within 2× of the fastest on all of them;
-/// - **dense** instances (fill ≥ 5 %) keep `hk-par`. The matrix does not
-///   settle this branch: its one dense row, the adversarial instance, is
-///   fastest on `pr` cold and a sub-millisecond tie warm, and no
-///   benchmark workload is dense.
-///
-/// The policy is deterministic and reads only `nnz / (nrows · ncols)`, in
-/// O(1); the engine-matrix tests pin it per generator family.
-pub fn select_finisher(g: &BipartiteGraph) -> AlgorithmKind {
-    let cells = g.nrows() as f64 * g.ncols() as f64;
-    if cells > 0.0 && g.nnz() as f64 >= 0.05 * cells {
-        AlgorithmKind::HopcroftKarpPar
-    } else {
-        AlgorithmKind::PushRelabel
-    }
+/// Table-3 surrogates, sparse `er` instances, `rmat`, dense `er`
+/// instances (fill ≈ 9.5 %) and two adversarial Karp–Sipser instances
+/// (fill ≈ 25 %), warm and cold, at 1 and 2 threads. With global
+/// relabeling `pr` is the fastest engine in 104 of its 108 cells and
+/// within 1.31× of the fastest in the rest, sparse or dense, so the policy
+/// reads nothing of the instance; the graph parameter stays for the
+/// callers (the engine, the bench bins, perfbench's trace).
+pub fn select_finisher(_g: &BipartiteGraph) -> AlgorithmKind {
+    AlgorithmKind::PushRelabel
 }
 
 impl std::str::FromStr for AlgorithmKind {
@@ -308,28 +243,27 @@ mod tests {
     #[test]
     fn auto_policy_is_shape_driven() {
         use dsmatch_graph::Csr;
-        // Dense: every cell filled ⇒ hk-par.
+        // `pr` wins the dense rows of the finisher matrix as well as the
+        // sparse ones, so every shape goes to it: dense (every cell
+        // filled), sparse uniform (one diagonal), sparse with one hub
+        // column (star + diagonal), and empty.
         let dense =
             BipartiteGraph::from_csr(Csr::from_dense(&[&[1, 1, 1], &[1, 1, 1], &[1, 1, 1]]));
-        assert_eq!(select_finisher(&dense), AlgorithmKind::HopcroftKarpPar);
-        // Sparse + uniform (one diagonal) ⇒ pr.
         let mut t = dsmatch_graph::TripletMatrix::new(100, 100);
         for i in 0..100 {
             t.push(i, i);
         }
         let uniform = BipartiteGraph::from_csr(t.into_csr());
-        assert_eq!(select_finisher(&uniform), AlgorithmKind::PushRelabel);
-        // Sparse + one hub column (star + diagonal) ⇒ pr as well.
         let mut t = dsmatch_graph::TripletMatrix::new(100, 100);
         for i in 0..100 {
             t.push(i, i);
             t.push(i, 0);
         }
         let skewed = BipartiteGraph::from_csr(t.into_csr());
-        assert_eq!(select_finisher(&skewed), AlgorithmKind::PushRelabel);
-        // Empty shapes are sparse.
         let empty = BipartiteGraph::from_csr(Csr::empty(0, 5));
-        assert_eq!(select_finisher(&empty), AlgorithmKind::PushRelabel);
+        for g in [&dense, &uniform, &skewed, &empty] {
+            assert_eq!(select_finisher(g), AlgorithmKind::PushRelabel);
+        }
     }
 
     #[test]
@@ -352,20 +286,5 @@ mod tests {
             .map(|k| k.name())
             .collect();
         assert_eq!(uncancellable, ["one", "one-out", "cheap", "cheap-vertex", "bfs"]);
-    }
-
-    #[test]
-    fn weighted_kind_roundtrip_and_names() {
-        assert_eq!(WeightedKind::all().len(), 4);
-        for w in WeightedKind::all() {
-            let parsed = WeightedKind::from_name(w.name()).unwrap();
-            assert_eq!(parsed, w);
-            assert_eq!(w.to_string(), w.name());
-            // Weighted names never collide with the cardinality registry.
-            assert!(w.name().parse::<AlgorithmKind>().is_err(), "{} collides", w.name());
-        }
-        assert_eq!(WeightedKind::from_name("nope"), None);
-        let names: Vec<&str> = WeightedKind::all().iter().map(|w| w.name()).collect();
-        assert_eq!(names, ["greedy-w", "path-grow", "suitor", "suitor-par"]);
     }
 }

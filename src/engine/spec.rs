@@ -6,7 +6,7 @@
 //! <pipeline> ::= dm,<pipeline>                              (decomposition)
 //!              | [scale[:sk|ruiz][:iters],]<workload>[,<exact-finisher>]
 //! <workload> ::= <algorithm>        (cardinality; the v1 grammar)
-//!              | <weighted>         (greedy-w | path-grow | suitor | suitor-par)
+//!              | suitor             (weighted)
 //! ```
 //!
 //! Every v1 spec string parses byte-identically under v2 — the
@@ -20,8 +20,12 @@
 //! messages the CLI has always printed.
 
 use super::pipeline::{ScaleMethod, ScaleStage, DEFAULT_SCALE_ITERATIONS};
-use super::registry::{AlgorithmKind, WeightedKind};
+use super::registry::AlgorithmKind;
 use dsmatch_scale::ScalingConfig;
+
+/// The spec name of the weighted workload: Suitor (Manne–Halappanavar)
+/// on the scaling entries as edge weights.
+pub(crate) const SUITOR: &str = "suitor";
 
 /// One classified token of a pipeline spec: the typed form of a
 /// comma-separated stage, produced by [`StageKind::classify`]. The v2
@@ -34,8 +38,8 @@ pub enum StageKind {
     Scale(ScaleStage),
     /// A cardinality algorithm from the [`AlgorithmKind`] registry.
     Algorithm(AlgorithmKind),
-    /// A weighted heuristic from the [`WeightedKind`] registry.
-    Weighted(WeightedKind),
+    /// The weighted workload, `suitor`.
+    Weighted,
     /// The `dm` decomposition prefix (its inner pipeline is the remainder
     /// of the spec, parsed recursively).
     Decompose,
@@ -79,8 +83,8 @@ impl StageKind {
         if let Ok(algo) = token.parse::<AlgorithmKind>() {
             return Ok(StageKind::Algorithm(algo));
         }
-        if let Some(w) = WeightedKind::from_name(token) {
-            return Ok(StageKind::Weighted(w));
+        if token == SUITOR {
+            return Ok(StageKind::Weighted);
         }
         Err(SpecError::UnknownAlgorithm { name: token.to_string() })
     }
@@ -117,8 +121,8 @@ pub enum SpecError {
         /// The full offending spec.
         spec: String,
     },
-    /// An algorithm name in neither the [`AlgorithmKind`] nor the
-    /// [`WeightedKind`] registry.
+    /// An algorithm name that is neither in the [`AlgorithmKind`] registry
+    /// nor `suitor`.
     UnknownAlgorithm {
         /// The unrecognized name.
         name: String,
@@ -168,19 +172,15 @@ pub enum SpecError {
         /// The full offending spec.
         spec: String,
     },
-    /// A weighted workload followed by a finisher stage (weighted
-    /// matchings are not warm starts for cardinality augmentation).
+    /// The weighted workload followed by a finisher stage (`"suitor,hk"`;
+    /// a weighted matching is not a warm start for cardinality
+    /// augmentation).
     WeightedWithFinisher {
-        /// The weighted workload stage.
-        algorithm: WeightedKind,
         /// The rejected finisher.
         finisher: AlgorithmKind,
     },
-    /// A weighted heuristic in finisher position (`"two,suitor"`).
-    WeightedAsFinisher {
-        /// The rejected weighted name.
-        finisher: WeightedKind,
-    },
+    /// The weighted workload in finisher position (`"two,suitor"`).
+    WeightedAsFinisher,
 }
 
 impl std::fmt::Display for SpecError {
@@ -197,8 +197,7 @@ impl std::fmt::Display for SpecError {
             }
             SpecError::UnknownAlgorithm { name } => {
                 let mut names: Vec<&str> = AlgorithmKind::all().iter().map(|a| a.name()).collect();
-                names.extend(WeightedKind::all().iter().map(|w| w.name()));
-                names.push("dm");
+                names.extend([SUITOR, "dm"]);
                 write!(f, "unknown algorithm {name:?}; expected one of {}", names.join("|"))
             }
             SpecError::UnknownScaleMethod { option, spec } => {
@@ -225,15 +224,14 @@ impl std::fmt::Display for SpecError {
             SpecError::MisplacedDecomposition { spec } => {
                 write!(f, "dm must be the first stage in {spec:?}")
             }
-            SpecError::WeightedWithFinisher { algorithm, finisher } => {
+            SpecError::WeightedWithFinisher { finisher } => {
                 write!(
                     f,
-                    "{algorithm} is a weighted workload; augmenting with {finisher} is not \
-                     supported"
+                    "{SUITOR} is a weighted workload; augmenting with {finisher} is not supported"
                 )
             }
-            SpecError::WeightedAsFinisher { finisher } => {
-                write!(f, "{finisher} is a weighted heuristic, not an exact finisher")
+            SpecError::WeightedAsFinisher => {
+                write!(f, "{SUITOR} is a weighted heuristic, not an exact finisher")
             }
         }
     }
@@ -261,8 +259,13 @@ mod tests {
         };
         assert_eq!(e.to_string(), "hk is already exact; augmenting with pf is redundant");
 
-        let e = SpecError::WeightedAsFinisher { finisher: WeightedKind::Suitor };
+        let e = SpecError::WeightedAsFinisher;
         assert_eq!(e.to_string(), "suitor is a weighted heuristic, not an exact finisher");
+        let e = SpecError::WeightedWithFinisher { finisher: AlgorithmKind::HopcroftKarp };
+        assert_eq!(
+            e.to_string(),
+            "suitor is a weighted workload; augmenting with hk is not supported"
+        );
     }
 
     #[test]
@@ -296,10 +299,7 @@ mod tests {
             StageKind::classify("hk", spec),
             Ok(StageKind::Algorithm(AlgorithmKind::HopcroftKarp))
         ));
-        assert!(matches!(
-            StageKind::classify("suitor", spec),
-            Ok(StageKind::Weighted(WeightedKind::Suitor))
-        ));
+        assert!(matches!(StageKind::classify("suitor", spec), Ok(StageKind::Weighted)));
         assert!(matches!(
             StageKind::classify("frobnicate", spec),
             Err(SpecError::UnknownAlgorithm { .. })

@@ -473,7 +473,7 @@ const GOLDEN_JOBS: &str = r#"{not json
 const GOLDEN_REPLIES: &str = r#"{"event":"ready","threads":2,"observed_workers":2,"max_queue":64,"cache_bytes":268435456,"max_line_bytes":67108864,"default_deadline_ms":0}
 {"event":"shutdown","jobs":53,"ok":12,"errors":41}
 {"id":"c-ok","ok":true,"op":"cancel","job":"k-long"}
-{"id":"d-auto","ok":true,"op":"delta","handle":"h","warm":true,"added":1,"removed":0,"report":{"cardinality":56,"seconds":0,"stages":[{"stage":"delta:auto","seconds":0,"cardinality":56,"augmentations":0,"phases":1,"selected":"hk-par","weight":null}],"scaling_iterations":null,"scaling_error":null,"quality":1,"deadline_ms":null,"weight":null}}
+{"id":"d-auto","ok":true,"op":"delta","handle":"h","warm":true,"added":1,"removed":0,"report":{"cardinality":56,"seconds":0,"stages":[{"stage":"delta:auto","seconds":0,"cardinality":56,"augmentations":0,"phases":null,"selected":"pr","weight":null}],"scaling_iterations":null,"scaling_error":null,"quality":1,"deadline_ms":null,"weight":null}}
 {"id":"d-default","ok":true,"op":"delta","handle":"h","warm":true,"added":2,"removed":1,"report":{"cardinality":56,"seconds":0,"stages":[{"stage":"delta:pf-par","seconds":0,"cardinality":56,"augmentations":0,"phases":1,"selected":null,"weight":null}],"scaling_iterations":null,"scaling_error":null,"quality":null,"deadline_ms":null,"weight":null},"rmate":[20,18,36,null,41,52,59,0,24,42,16,57,58,26,10,null,11,33,null,28,39,3,46,45,34,7,27,8,13,29,5,9,17,49,56,25,50,40,51,53,43,null,48,44,2,19,21,38,32,14,55,22,12,47,54,6,37,35,1,30]}
 {"id":"e-deadline","ok":false,"code":"deadline","error":"deadline of 0 ms exceeded; job cancelled","cancelled":true,"deadline_ms":0}
 {"id":"e-delta-oob","ok":false,"code":"instance","error":"delta edge (60,0) out of bounds for 60×60","handle":"h"}
@@ -488,9 +488,9 @@ const GOLDEN_REPLIES: &str = r#"{"event":"ready","threads":2,"observed_workers":
 {"id":"e-inline-empty","ok":false,"code":"instance","error":"inline instances need nrows ≥ 1 and ncols ≥ 1"}
 {"id":"e-inline-oob","ok":false,"code":"instance","error":"edge (9,0) out of bounds for 4×4"}
 {"id":"e-job","ok":false,"code":"job","error":"no in-flight job \"ghost-job\" on this connection"}
-{"id":"e-spec","ok":false,"code":"spec","error":"unknown algorithm \"frobnicate\"; expected one of one|two|ks|ksmt|one-out|cheap|cheap-vertex|hk|pf|pr|bfs|hk-par|pf-par|pf-graft|auto|greedy-w|path-grow|suitor|suitor-par|dm"}
+{"id":"e-spec","ok":false,"code":"spec","error":"unknown algorithm \"frobnicate\"; expected one of one|two|ks|ksmt|one-out|cheap|cheap-vertex|hk|pf|pr|bfs|hk-par|pf-par|pf-graft|auto|suitor|dm"}
 {"id":"e-spec-finisher","ok":false,"code":"spec","error":"augment stage two is not an exact algorithm"}
-{"id":"e-spec-unknown","ok":false,"code":"spec","error":"unknown algorithm \"warp\"; expected one of one|two|ks|ksmt|one-out|cheap|cheap-vertex|hk|pf|pr|bfs|hk-par|pf-par|pf-graft|auto|greedy-w|path-grow|suitor|suitor-par|dm"}
+{"id":"e-spec-unknown","ok":false,"code":"spec","error":"unknown algorithm \"warp\"; expected one of one|two|ks|ksmt|one-out|cheap|cheap-vertex|hk|pf|pr|bfs|hk-par|pf-par|pf-graft|auto|suitor|dm"}
 {"id":"k-long","ok":false,"code":"deadline","error":"job cancelled by client request","cancelled":true,"deadline_ms":null}
 {"id":"k-sleep","ok":true,"op":"sleep","ms":5}
 {"id":"p-cancel","ok":false,"code":"parse","error":"cancel job needs a \"job\" field: the target job's id"}
