@@ -47,10 +47,15 @@
 //! reader/writer pair per client, all sharing the same instance cache and
 //! [`WorkspacePool`] — bounded by [`ServeOptions::max_clients`] (excess
 //! connections are turned away with a structured `"busy"` error line).
-//! Per-connection reply ordering is whatever job *completion* order is;
-//! jobs naming the same handle execute in daemon-wide submission order (a
-//! per-handle FIFO that spans connections), so two clients mutating one
-//! handle see a serializable history.
+//! Per-connection reply ordering is whatever job *completion* order is.
+//! Jobs naming the same handle start in daemon-wide submission order (a
+//! per-handle reader/writer FIFO that spans connections): solves that
+//! only read a cached handle run side by side, while a `store` or `delta`
+//! holds it alone, and no job starts ahead of an earlier one it conflicts
+//! with. A solve that reads one handle and stores under another claims
+//! both, the source as a read. So clients sharing a handle see a
+//! serializable history: every reply is the one a sequential submission
+//! would produce.
 //!
 //! Jobs are spawned onto the [`WorkspacePool`] as stealable tasks:
 //! concurrent jobs solve on distinct pinned-1-thread slot workspaces, so
@@ -344,19 +349,46 @@ struct Job {
     deadline_ms: Option<u64>,
 }
 
+/// How a job uses a handle it claims.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// Shared with other readers: the `{"handle":…}` source of a solve.
+    Read,
+    /// Held alone: the `store` target of a solve, or a delta's subject.
+    Write,
+}
+
 impl Job {
-    /// The handle this job's execution must serialize on, if any: the
-    /// mutation target for solves that `store`, the read source for
-    /// handle-referencing solves, the delta's subject.
-    fn primary_handle(&self) -> Option<&str> {
+    /// The handles this job must hold while it runs, primary first: a
+    /// solve writes its `store` target and reads its `{"handle":…}`
+    /// source (one write when both name the same handle), a delta writes
+    /// its handle.
+    fn claims(&self) -> Vec<(&str, Mode)> {
         match &self.op {
-            Op::Solve(sj) => sj.store.as_deref().or(match &sj.instance {
-                InstanceRef::Handle(h) => Some(h),
-                _ => None,
-            }),
-            Op::Delta(dj) => Some(&dj.handle),
-            _ => None,
+            Op::Solve(sj) => {
+                let source = match &sj.instance {
+                    InstanceRef::Handle(h) => Some(h.as_str()),
+                    _ => None,
+                };
+                match (sj.store.as_deref(), source) {
+                    (Some(store), Some(source)) if store != source => {
+                        vec![(store, Mode::Write), (source, Mode::Read)]
+                    }
+                    (Some(store), _) => vec![(store, Mode::Write)],
+                    (None, Some(source)) => vec![(source, Mode::Read)],
+                    (None, None) => Vec::new(),
+                }
+            }
+            Op::Delta(dj) => vec![(&dj.handle, Mode::Write)],
+            _ => Vec::new(),
         }
+    }
+
+    /// The handle error replies name: the mutation target for solves that
+    /// `store`, the read source for other handle-referencing solves, the
+    /// delta's subject.
+    fn primary_handle(&self) -> Option<&str> {
+        self.claims().first().map(|&(handle, _)| handle)
     }
 }
 
@@ -538,33 +570,118 @@ impl HandleState {
     }
 }
 
-#[derive(Default)]
-struct HandleQueue {
-    /// A job owning this handle is running (or scheduled to run).
-    busy: bool,
-    /// Jobs waiting for the handle, in daemon-wide submission order. Each
-    /// carries the connection it belongs to: the per-handle FIFO spans
-    /// connections, so a successor may reply on a different stream than
-    /// its predecessor.
-    pending: VecDeque<(Job, Arc<JobCtx>, Arc<Conn>)>,
+/// One handle's reader/writer FIFO. Claims are granted in daemon-wide
+/// submission order: any number of reads share the handle, a write holds
+/// it alone, and no claim is granted past an earlier waiting one — so a
+/// read never overtakes an earlier write, nor a write an earlier read.
+struct HandleQueue<T> {
+    /// Granted read claims.
+    readers: usize,
+    /// A write claim is granted.
+    writer: bool,
+    /// Claims waiting for the handle, in daemon-wide submission order. The
+    /// FIFO spans connections, so a job may start on behalf of a
+    /// different stream than the one whose job let it in.
+    pending: VecDeque<(Mode, T)>,
 }
 
-/// One cached instance: per-handle job serialization + the cached
-/// graph/mates + LRU bookkeeping.
+impl<T> Default for HandleQueue<T> {
+    fn default() -> Self {
+        HandleQueue { readers: 0, writer: false, pending: VecDeque::new() }
+    }
+}
+
+impl<T> HandleQueue<T> {
+    fn fits(&self, mode: Mode) -> bool {
+        !self.writer && (mode == Mode::Read || self.readers == 0)
+    }
+
+    fn grant(&mut self, mode: Mode) {
+        match mode {
+            Mode::Read => self.readers += 1,
+            Mode::Write => self.writer = true,
+        }
+    }
+
+    /// Grant `mode` at once when no claim waits and it fits the granted
+    /// ones (returns true); otherwise queue `waiter` behind the waiting
+    /// claims.
+    fn enter(&mut self, mode: Mode, waiter: T) -> bool {
+        let now = self.pending.is_empty() && self.fits(mode);
+        if now {
+            self.grant(mode);
+        } else {
+            self.pending.push_back((mode, waiter));
+        }
+        now
+    }
+
+    /// Give back a granted claim of `mode`, then grant the longest fitting
+    /// prefix of the waiting claims — all the leading reads, or one write
+    /// — and return their waiters.
+    fn leave(&mut self, mode: Mode) -> Vec<T> {
+        match mode {
+            Mode::Read => self.readers -= 1,
+            Mode::Write => self.writer = false,
+        }
+        let mut granted = Vec::new();
+        while let Some(&(next, _)) = self.pending.front() {
+            if !self.fits(next) {
+                break;
+            }
+            self.grant(next);
+            granted.extend(self.pending.pop_front().map(|(_, waiter)| waiter));
+        }
+        granted
+    }
+
+    fn idle(&self) -> bool {
+        self.readers == 0 && !self.writer && self.pending.is_empty()
+    }
+}
+
+/// One cached instance: its reader/writer FIFO + the cached graph/mates +
+/// LRU bookkeeping.
 #[derive(Default)]
 struct HandleEntry {
-    queue: Mutex<HandleQueue>,
+    queue: Mutex<HandleQueue<Arc<Ticket>>>,
     state: Mutex<HandleState>,
     bytes: AtomicUsize,
     touched: AtomicU64,
 }
 
 impl HandleEntry {
-    /// No job holds or awaits this handle — the one test `drop` and
-    /// eviction both apply. Lock order is cache → queue everywhere.
+    /// No job holds or awaits this handle, readers included — the one test
+    /// `drop` and eviction both apply. Lock order is cache → queue
+    /// everywhere.
     fn idle(&self) -> bool {
-        let q = lock(&self.queue);
-        !q.busy && q.pending.is_empty()
+        lock(&self.queue).idle()
+    }
+}
+
+/// A handle a job holds or awaits, and how.
+struct Claim {
+    handle: String,
+    entry: Arc<HandleEntry>,
+    mode: Mode,
+}
+
+/// A scheduled worker job: the job, its context, the connection it replies
+/// on, and its handle claims (at most two). It starts once every claim is
+/// granted.
+struct Ticket {
+    job: Job,
+    ctx: Arc<JobCtx>,
+    conn: Arc<Conn>,
+    claims: Vec<Claim>,
+    /// Claims not granted yet; changed only under the cache lock.
+    waiting: AtomicUsize,
+}
+
+impl Ticket {
+    /// The entry of `handle`, when this job claims it.
+    fn entry(&self, handle: &str) -> Option<&HandleEntry> {
+        self.claims.iter().find(|c| c.handle == handle).map(|c| &*c.entry)
     }
 }
 
@@ -670,23 +787,27 @@ impl ServeCore {
         }
     }
 
-    /// A job on `handle` finished: pop the next pending job (the handle
-    /// stays busy for it), or mark the handle idle — and forget it if no
-    /// job ever stored an instance under it. Runs under the cache lock,
-    /// like [`schedule`]'s FIFO insertion, so no job can be queued on an
-    /// entry while it is removed (lock order: cache, queue, then state,
-    /// which no holder ever extends).
-    fn release(&self, handle: &str, entry: &HandleEntry) -> Option<(Job, Arc<JobCtx>, Arc<Conn>)> {
+    /// A job finished: give back its `claims`, and return the jobs whose
+    /// last claim that granted. A handle left idle is forgotten if no job
+    /// ever stored an instance under it. Runs under the cache lock, like
+    /// [`schedule`]'s FIFO insertion, so no claim can join an entry while
+    /// it is removed (lock order: cache, queue, then state, which no
+    /// holder ever extends).
+    fn release(&self, claims: &[Claim]) -> Vec<Arc<Ticket>> {
         let mut cache = lock(&self.cache);
-        let mut q = lock(&entry.queue);
-        let next = q.pending.pop_front();
-        if next.is_none() {
-            q.busy = false;
-            if lock(&entry.state).graph.is_none() {
-                cache.entries.remove(handle);
+        let mut ready = Vec::new();
+        for claim in claims {
+            let mut q = lock(&claim.entry.queue);
+            for next in q.leave(claim.mode) {
+                if next.waiting.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    ready.push(next);
+                }
+            }
+            if q.idle() && lock(&claim.entry.state).graph.is_none() {
+                cache.entries.remove(&claim.handle);
             }
         }
-        next
+        ready
     }
 }
 
@@ -887,11 +1008,14 @@ fn build_inline(
 // Job execution (on pool workers)
 // ---------------------------------------------------------------------------
 
+/// Run a solve. `source` is the claimed entry of a `{"handle":…}`
+/// instance, `None` when the handle had none at submission.
 fn execute_solve(
     core: &ServeCore,
     id: &Json,
     job: &SolveJob,
     ctx: &JobCtx,
+    source: Option<&HandleEntry>,
 ) -> Result<Json, JobError> {
     let graph: Arc<BipartiteGraph> = match &job.instance {
         InstanceRef::Gen(spec) => Arc::new(parse_gen_spec(spec).map_err(|e| (code::INSTANCE, e))?),
@@ -899,8 +1023,7 @@ fn execute_solve(
             Arc::new(build_inline(*nrows, *ncols, edges)?)
         }
         InstanceRef::Handle(h) => {
-            let entry = lock(&core.cache).entries.get(h).cloned();
-            let entry = entry
+            let entry = source
                 .ok_or_else(|| (code::HANDLE, format!("no instance cached under handle {h:?}")))?;
             let graph = lock(&entry.state).graph.clone();
             graph.ok_or_else(|| {
@@ -998,12 +1121,8 @@ fn execute_delta(
     Ok(solved(id, "delta", fields, &report, job.mates))
 }
 
-fn execute(
-    core: &ServeCore,
-    job: &Job,
-    ctx: &JobCtx,
-    entry: Option<&HandleEntry>,
-) -> Result<Json, JobError> {
+fn execute(ticket: &Ticket) -> Result<Json, JobError> {
+    let Ticket { job, ctx, conn, .. } = ticket;
     // A deadline that expired while the job sat in a queue cancels it
     // before any work starts — even for pipelines whose stages have no
     // cooperative checkpoints of their own.
@@ -1011,8 +1130,14 @@ fn execute(
         return Err(ctx.deadline_error());
     }
     match &job.op {
-        Op::Solve(sj) => execute_solve(core, &job.id, sj, ctx),
-        Op::Delta(dj) => execute_delta(core, &job.id, dj, ctx, entry),
+        Op::Solve(sj) => {
+            let source = match &sj.instance {
+                InstanceRef::Handle(h) => ticket.entry(h),
+                _ => None,
+            };
+            execute_solve(&conn.core, &job.id, sj, ctx, source)
+        }
+        Op::Delta(dj) => execute_delta(&conn.core, &job.id, dj, ctx, ticket.entry(&dj.handle)),
         Op::Sleep { ms } => {
             let total = Duration::from_millis((*ms).min(60_000));
             let t0 = Instant::now();
@@ -1033,21 +1158,17 @@ fn execute(
     }
 }
 
-/// Run one scheduled job on a worker: execute (panic-safe), release the
-/// handle and start its next pending job, then enqueue the reply and
-/// release the admission slot — in that order, so a drain that observes
-/// zero in-flight jobs knows every reply is already in the channel.
-fn run_job<'s>(
-    conn: Arc<Conn>,
-    scope: &rayon::Scope<'s>,
-    job: Job,
-    ctx: Arc<JobCtx>,
-    entry: Option<Arc<HandleEntry>>,
-) {
+/// Run one scheduled job on a worker: execute (panic-safe), release its
+/// handle claims and start the jobs they let in, then enqueue the reply
+/// and release the admission slot — in that order, so a drain that
+/// observes zero in-flight jobs knows every reply is already in the
+/// channel.
+fn run_job<'s>(scope: &rayon::Scope<'s>, ticket: Arc<Ticket>) {
+    let Ticket { job, ctx, conn, claims, .. } = &*ticket;
     faults::stall_if_due("start", ctx.ord);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         faults::panic_if_due(ctx.ord);
-        execute(&conn.core, &job, &ctx, entry.as_deref())
+        execute(&ticket)
     }));
     faults::stall_if_due("finish", ctx.ord);
     let reply = match outcome {
@@ -1065,16 +1186,14 @@ fn run_job<'s>(
         }
         Err(payload) => error_doc(&job.id, (code::INTERNAL, panic_message(payload)), Vec::new()),
     };
-    // Release the handle (and start its next pending job) *before* the
+    // Release the claims (and start the jobs they let in) *before* the
     // reply goes out: a client that reacts to the reply instantly — e.g.
     // with a `drop` — must observe the handle idle, not racily busy.
-    if let (Some(entry), Some(handle)) = (entry, job.primary_handle()) {
-        if let Some((next, next_ctx, owner)) = conn.core.release(handle, &entry) {
-            // The successor may belong to a different connection; it joins
-            // whichever scope is current — its owner's drain tracks it
-            // through the owner's in-flight counter, not scope membership.
-            scope.spawn(move |s| run_job(owner, s, next, next_ctx, Some(entry)));
-        }
+    for next in conn.core.release(claims) {
+        // A successor may belong to a different connection; it joins
+        // whichever scope is current — its owner's drain tracks it through
+        // the owner's in-flight counter, not scope membership.
+        scope.spawn(move |s| run_job(s, next));
     }
     // Deregister before the reply goes out: a client reacting to the reply
     // with a `cancel` of the same id must get a clean "no such job". Only
@@ -1082,7 +1201,7 @@ fn run_job<'s>(
     {
         let mut cancels = lock(&conn.cancels);
         let key = job.id.to_string();
-        if cancels.get(&key).is_some_and(|registered| Arc::ptr_eq(registered, &ctx)) {
+        if cancels.get(&key).is_some_and(|registered| Arc::ptr_eq(registered, ctx)) {
             cancels.remove(&key);
         }
     }
@@ -1091,8 +1210,9 @@ fn run_job<'s>(
 }
 
 /// Admit + schedule one worker-bound job: direct spawn when it touches no
-/// handle, per-handle FIFO when it does. The job's deadline is armed here,
-/// at submission — queue wait counts against the budget.
+/// handle, the reader/writer FIFO of each handle it claims when it does.
+/// The job's deadline is armed here, at submission — queue wait counts
+/// against the budget.
 fn schedule<'s>(conn: &Arc<Conn>, scope: &rayon::Scope<'s>, job: Job) -> Result<(), JobError> {
     if !conn.admit() {
         let message = format!(
@@ -1112,25 +1232,37 @@ fn schedule<'s>(conn: &Arc<Conn>, scope: &rayon::Scope<'s>, job: Job) -> Result<
     // Register for client-initiated `cancel` before the job can run:
     // queued jobs (per-handle FIFO) are cancellable while they wait.
     lock(&conn.cancels).insert(job.id.to_string(), Arc::clone(&ctx));
-    let owner = Arc::clone(conn);
-    let entry = match job.primary_handle() {
-        None => None,
-        // FIFO insertion under the cache lock (lock order: cache, then
-        // queue), so a finishing job cannot remove the entry meanwhile.
-        Some(handle) => {
-            let mut cache = lock(&conn.core.cache);
-            let entry = cache.entry_for(handle);
-            let mut q = lock(&entry.queue);
-            if q.busy {
-                q.pending.push_back((job, ctx, owner));
-                return Ok(());
-            }
-            q.busy = true;
-            drop(q);
-            Some(entry)
+    // Every claim joins its FIFO in one step under the cache lock (lock
+    // order: cache, then queue): all FIFOs then share one daemon-wide
+    // submission order, so a job waiting on two handles cannot deadlock,
+    // and a finishing job cannot remove an entry meanwhile.
+    let mut cache = lock(&conn.core.cache);
+    let mut claims = Vec::new();
+    for (k, (handle, mode)) in job.claims().into_iter().enumerate() {
+        let entry = if k == 0 {
+            cache.entry_for(handle)
+        } else {
+            // A store's separate source joins only an existing entry: with
+            // none, no job holds or awaits it, so it holds no instance for
+            // this job whatever later jobs store.
+            let Some(entry) = cache.entries.get(handle).cloned() else { continue };
+            cache.touch(&entry);
+            entry
+        };
+        claims.push(Claim { handle: handle.to_string(), entry, mode });
+    }
+    let ticket =
+        Arc::new(Ticket { job, ctx, conn: Arc::clone(conn), claims, waiting: AtomicUsize::new(0) });
+    for claim in &ticket.claims {
+        if !lock(&claim.entry.queue).enter(claim.mode, Arc::clone(&ticket)) {
+            ticket.waiting.fetch_add(1, Ordering::SeqCst);
         }
-    };
-    scope.spawn(move |s| run_job(owner, s, job, ctx, entry));
+    }
+    let ready = ticket.waiting.load(Ordering::SeqCst) == 0;
+    drop(cache);
+    if ready {
+        scope.spawn(move |s| run_job(s, ticket));
+    }
     Ok(())
 }
 
@@ -1533,16 +1665,52 @@ mod tests {
         assert!(!cache.entries.contains_key("b"));
         assert!(cache.entries.contains_key("c"), "the just-written handle survives");
 
-        // Busy entries are pinned even when oldest.
+        // Held entries are pinned even when oldest: by a writer, or by
+        // readers alone.
         let busy = cache.entry_for("busy");
         busy.bytes.store(60, Ordering::Relaxed);
-        busy.queue.lock().unwrap().busy = true;
+        busy.queue.lock().unwrap().writer = true;
+        let read = cache.entry_for("read");
+        read.bytes.store(60, Ordering::Relaxed);
+        read.queue.lock().unwrap().readers = 1;
         let idle = cache.entry_for("idle");
         idle.bytes.store(60, Ordering::Relaxed);
         cache.evict_to_budget("idle");
         assert!(cache.entries.contains_key("busy"));
+        assert!(cache.entries.contains_key("read"), "a handle only readers hold survives");
         assert!(cache.entries.contains_key("idle"));
         assert!(!cache.entries.contains_key("c"), "the idle LRU entry went instead");
+    }
+
+    #[test]
+    fn handle_queue_grants_leading_reads_together_and_writes_alone_in_order() {
+        let mut q = HandleQueue::default();
+        assert!(q.enter(Mode::Read, "r0") && q.enter(Mode::Read, "r0'"), "reads share");
+        assert!(!q.enter(Mode::Write, "w0"), "a write waits for running reads");
+        assert!(!q.enter(Mode::Read, "r0''"), "a read waits behind a waiting write");
+        assert!(q.leave(Mode::Read).is_empty());
+        assert_eq!(q.leave(Mode::Read), ["w0"]);
+        assert_eq!(q.leave(Mode::Write), ["r0''"]);
+        assert!(q.leave(Mode::Read).is_empty() && q.idle());
+
+        // Pending R R W R R behind a running write.
+        assert!(q.enter(Mode::Write, "load"));
+        for (mode, waiter) in [
+            (Mode::Read, "r1"),
+            (Mode::Read, "r2"),
+            (Mode::Write, "w"),
+            (Mode::Read, "r3"),
+            (Mode::Read, "r4"),
+        ] {
+            assert!(!q.enter(mode, waiter), "{waiter} waits behind the running write");
+        }
+        assert_eq!(q.leave(Mode::Write), ["r1", "r2"], "the leading reads start together");
+        assert!(q.leave(Mode::Read).is_empty(), "w waits for both reads");
+        assert_eq!(q.leave(Mode::Read), ["w"]);
+        assert_eq!(q.leave(Mode::Write), ["r3", "r4"], "the last reads start after w");
+        assert!(!q.idle());
+        assert!(q.leave(Mode::Read).is_empty() && q.leave(Mode::Read).is_empty());
+        assert!(q.idle());
     }
 
     #[test]

@@ -164,6 +164,83 @@ fn workspace_survives_a_cancelled_job_byte_identically() {
     );
 }
 
+/// Reply ids in the order the replies arrived.
+fn reply_order<'a>(lines: &[String], ids: &[&'a str]) -> Vec<&'a str> {
+    let mut order = ids.to_vec();
+    order.sort_by_key(|id| {
+        let needle = format!("\"id\":{id:?}");
+        lines.iter().position(|l| l.contains(&needle))
+    });
+    order
+}
+
+/// Reads of one cached handle share it; writes hold it alone, in
+/// submission order. Job 2 (`slow`) stalls 1.5 s at its start, so the
+/// later read `fast` answers first, the delta waits for both reads, and
+/// the read behind the delta waits for it. The 50 ms stall at every
+/// job's start keeps each job a release lets in from finishing before
+/// the reply of the job that released it.
+#[test]
+fn reads_of_one_handle_share_it_and_writes_keep_submission_order() {
+    let read = |id: &str| {
+        format!("{{\"id\":{id:?},\"pipeline\":\"hk\",\"instance\":{{\"handle\":\"h\"}}}}")
+    };
+    let jobs = [
+        format!(
+            "{{\"id\":\"load\",\"pipeline\":\"hk\",\"instance\":{},\"store\":\"h\"}}",
+            triangular_instance(48)
+        ),
+        read("slow"),
+        read("fast"),
+        "{\"id\":\"write\",\"op\":\"delta\",\"handle\":\"h\",\"add\":[[0,1]]}".to_string(),
+        read("after"),
+    ];
+    let faults = "stall:stage=start:ms=50,stall:stage=start:job=2:ms=1500";
+    let lines = run_batch(&["--threads", "2"], Some(faults), &(jobs.join("\n") + "\n"));
+
+    let ids = ["load", "slow", "fast", "write", "after"];
+    for id in ids {
+        assert!(line_for(&lines, id).contains("\"ok\":true"), "{}", lines.join("\n"));
+    }
+    assert_eq!(
+        reply_order(&lines, &ids),
+        ["load", "fast", "slow", "write", "after"],
+        "{}",
+        lines.join("\n")
+    );
+}
+
+/// A solve that reads handle `a` and stores under `b` waits for an
+/// earlier write to `a`: the stalled store of `a` holds back the copy, the
+/// read of `a` behind it and the read of `b` behind the copy, and all
+/// three see the instance.
+#[test]
+fn a_store_from_another_handle_waits_for_earlier_writes_to_its_source() {
+    let solve = |id: &str, instance: &str, store: &str| {
+        format!(
+            "{{\"id\":{id:?},\"pipeline\":\"two\",\"instance\":{instance}{store},\"mates\":true}}"
+        )
+    };
+    let jobs = [
+        solve("load", "\"gen:er:300:4:1\"", ",\"store\":\"a\""),
+        solve("copy", "{\"handle\":\"a\"}", ",\"store\":\"b\""),
+        solve("read-a", "{\"handle\":\"a\"}", ""),
+        solve("read-b", "{\"handle\":\"b\"}", ""),
+    ];
+    let lines = run_batch(
+        &["--threads", "2"],
+        Some("stall:stage=start:job=1:ms=300"),
+        &(jobs.join("\n") + "\n"),
+    );
+
+    let reference = rmate_fragment(line_for(&lines, "load")).to_string();
+    for id in ["load", "copy", "read-a", "read-b"] {
+        let reply = line_for(&lines, id);
+        assert!(reply.contains("\"ok\":true"), "job {id}: {}", lines.join("\n"));
+        assert_eq!(rmate_fragment(reply), reference, "job {id} mates");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Socket-mode chaos (concurrent clients, signals, stale sockets)
 // ---------------------------------------------------------------------------
