@@ -1,8 +1,8 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md §5:
+//! Ablation benchmarks for two design choices:
 //!
 //! - **Scaling algorithm**: Sinkhorn–Knopp vs Ruiz at equal iteration
 //!   budgets — the paper (§2.2) claims SK converges faster on unsymmetric
-//!   matrices; we also measure the resulting matching quality.
+//!   matrices.
 //! - **Warm-starting exact solvers** with heuristic matchings — the
 //!   motivating use case from the paper's introduction.
 

@@ -4,8 +4,8 @@
 //! The paper's Figures 3–4 report 8–12× speedups at 16 threads on
 //! instances of 10⁶–10⁸ edges. On smaller surrogates the fixed parallel
 //! overhead (pool wakeup, cache-line ping-pong on the atomics) dominates.
-//! This binary quantifies the crossover so EXPERIMENTS.md can relate our
-//! shrunk-instance speedups to the paper's full-size ones.
+//! This binary quantifies the crossover, which relates the shrunk-instance
+//! speedups of the other bins to the paper's full-size ones.
 //!
 //! ```text
 //! cargo run --release -p dsmatch-bench --bin size_sweep [--threads 16]

@@ -17,13 +17,12 @@
 //!   [`ScalingResult`];
 //! - `one_sided` / `two_sided` — the full pipelines
 //!   `scale:sk:5,one` / `scale:sk:5,two` through the engine;
-//! - `pf_par_finish` / `hk_par_finish` / `pf_graft_finish` / `pr_finish` /
-//!   `auto_finish` — the exact finishers (`pf-par` tree-grafting BFS,
-//!   `hk-par` level-synchronized BFS, `pf-graft` incremental tree
-//!   grafting, `pr` push-relabel, and `auto`'s pick, which is `pr`)
-//!   warm-started from a pre-computed two-sided heuristic matching: only
-//!   finisher work (the paper pipelines' last sequential bottleneck) is
-//!   timed. Finishers with phase structure also report their
+//! - `pf_par_finish` / `hk_par_finish` / `pf_graft_finish` / `pr_finish` —
+//!   the exact finishers (`pf-par` tree-grafting BFS, `hk-par`
+//!   level-synchronized BFS, `pf-graft` incremental tree grafting, and
+//!   `pr` push-relabel, which is also what `auto` runs) warm-started from
+//!   a pre-computed two-sided heuristic matching: only finisher work (the
+//!   paper pipelines' last sequential bottleneck) is timed. Finishers with phase structure also report their
 //!   deterministic phase count (measured once, untimed) — the work
 //!   measure behind `pf-graft`'s fewer-forest-rebuilds win, gated by
 //!   `trendcheck`;
@@ -46,9 +45,7 @@
 //!     [--max-threads 8] [--out BENCH_speedup.json]
 //! ```
 
-use dsmatch::engine::{
-    select_finisher, AlgorithmKind, Json, Pipeline, Solver, Workspace, WorkspacePool,
-};
+use dsmatch::engine::{Json, Pipeline, Solver, Workspace, WorkspacePool};
 use dsmatch_bench::{arg, write_json_file, Table};
 use dsmatch_core::{karp_sipser_mt_ws, two_sided_choices, KsMtScratch};
 use dsmatch_exact::{
@@ -161,12 +158,6 @@ fn main() {
     let pf_graft_phases =
         pothen_fan_graft_ws(&g, Some(&finisher_init), &mut AugmentWorkspace::new()).1.phases;
 
-    // `auto` runs push-relabel on every instance; its kernel calls the
-    // engine directly so it times only finisher work — the pipeline would
-    // add plumbing.
-    let auto_pick = select_finisher(&g);
-    assert_eq!(auto_pick, AlgorithmKind::PushRelabel, "auto_finish times push-relabel");
-
     let mut kernels: Vec<Kernel> = vec![
         Kernel {
             name: "ksmt",
@@ -240,13 +231,6 @@ fn main() {
             name: "pr_finish",
             // `push_relabel_from` consumes its warm start; the O(n) clone
             // is timed but is noise next to the O(nnz)+ augmentation work.
-            run: Box::new(|| {
-                std::hint::black_box(push_relabel_from(&g, finisher_init.clone()).0.cardinality());
-            }),
-            phases: None,
-        },
-        Kernel {
-            name: "auto_finish",
             run: Box::new(|| {
                 std::hint::black_box(push_relabel_from(&g, finisher_init.clone()).0.cardinality());
             }),

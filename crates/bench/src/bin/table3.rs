@@ -7,10 +7,10 @@
 //! (including scaling), `KarpSipserMT` (matching only) and `TwoSidedMatch`
 //! (scaling + sampling + matching).
 //!
-//! The instances are synthetic surrogates for the UFL matrices (DESIGN.md
-//! §3); absolute times will differ from the paper's 2012 Xeon, but the
-//! relative ordering (TwoSided ≈ 2–3 × OneSided; KarpSipserMT dominating
-//! TwoSided's cost) should hold.
+//! The instances are synthetic surrogates for the UFL matrices
+//! (`dsmatch_gen::suite`); absolute times will differ from the paper's
+//! 2012 Xeon, but the relative ordering (TwoSided ≈ 2–3 × OneSided;
+//! KarpSipserMT dominating TwoSided's cost) should hold.
 //!
 //! ```text
 //! cargo run --release -p dsmatch-bench --bin table3 [--shrink 64] [--runs 5] [--warmup 1]

@@ -1,8 +1,8 @@
 //! # dsmatch-bench — experiment harness
 //!
 //! Shared utilities for the binaries that regenerate every table and figure
-//! of the paper (see DESIGN.md §4 for the experiment index) and for the
-//! Criterion micro-benchmarks.
+//! of the paper (each binary's module docs name what it reproduces and how
+//! to run it) and for the Criterion micro-benchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

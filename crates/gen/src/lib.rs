@@ -1,7 +1,8 @@
 //! # dsmatch-gen — instance generators
 //!
-//! Synthetic instances substituting for the paper's workloads (see
-//! DESIGN.md §3 for the substitution rationale):
+//! Synthetic instances substituting for the paper's workloads (the UFL
+//! matrices are not available offline; [`suite`] says what each surrogate
+//! matches):
 //!
 //! - [`erdos_renyi_square`] / [`erdos_renyi_rect`] — MATLAB `sprand`
 //!   equivalents (Erdős–Rényi random patterns) used by the paper's Table 2

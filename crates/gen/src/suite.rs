@@ -6,7 +6,7 @@
 //! drive the paper's observations: vertex count, average degree, degree
 //! *variance* (the paper explains the poor scalability of `torso1` and
 //! `audikw_1` by row-degree variances of 176056 and 1802), and
-//! sprank-deficiency (`europe_osm` 0.99, `road_usa` 0.95). See DESIGN.md §3.
+//! sprank-deficiency (`europe_osm` 0.99, `road_usa` 0.95).
 //!
 //! By default instances are shrunk by a configurable factor so the whole
 //! harness runs on a laptop; pass `shrink = 1` to build paper-sized

@@ -5,9 +5,9 @@
 //! each iteration scales **both** sides simultaneously by the inverse square
 //! roots of the current row and column sums, converging to the same doubly
 //! stochastic limit but — per Knight, Ruiz & Uçar — more slowly on
-//! unsymmetric matrices. We implement it so the ablation benchmark can
-//! reproduce that comparison (`ablation_bench`, and the quality impact in
-//! EXPERIMENTS.md).
+//! unsymmetric matrices. We implement it so the ablation benchmark
+//! (`ablation_bench`) can time the two at equal iteration budgets, and
+//! `scale:ruiz:<k>` pipelines run it end to end.
 
 use dsmatch_graph::{BipartiteGraph, CancelToken, Cancelled};
 use rayon::prelude::*;

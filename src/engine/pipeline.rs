@@ -462,6 +462,20 @@ fn one_out_bipartite(g: &BipartiteGraph, seed: u64, ws: &mut Workspace) -> Match
     Matching::from_mates(rmate, cmate)
 }
 
+/// Copy `src` into `dst`, reusing `dst`'s buffers. The destructuring
+/// names every field, so a field added to [`ScalingResult`] must be copied
+/// here before this compiles.
+fn copy_scaling(src: &ScalingResult, dst: &mut ScalingResult) {
+    let ScalingResult { dr, dc, row_sums, col_sums, iterations, error, history } = src;
+    dst.dr.clone_from(dr);
+    dst.dc.clone_from(dc);
+    dst.row_sums.clone_from(row_sums);
+    dst.col_sums.clone_from(col_sums);
+    dst.iterations = *iterations;
+    dst.error = *error;
+    dst.history.clone_from(history);
+}
+
 impl Solver for Pipeline {
     /// Solve `g`. When `ws` owns a thread pool ([`Workspace::with_threads`])
     /// every stage executes with that pool installed, so the parallel
@@ -484,7 +498,23 @@ impl Pipeline {
         ws: &mut Workspace,
         token: &CancelToken,
     ) -> Result<SolveReport, Cancelled> {
-        ws.run(|ws| self.solve_stages(g, ws, token))
+        self.solve_scaled(g, ws, token, None)
+    }
+
+    /// [`Pipeline::solve_cancel`] whose `scale` stage, given `scaling`,
+    /// copies it into the workspace instead of iterating. The caller
+    /// vouches that `scaling` is what this stage computes on `g`; scaling
+    /// draws no random numbers and is byte-identical at every pool size,
+    /// so the report equals a fresh solve's except for that stage's
+    /// seconds. `serve` passes the scaling a handle memoized.
+    pub(crate) fn solve_scaled(
+        &self,
+        g: &BipartiteGraph,
+        ws: &mut Workspace,
+        token: &CancelToken,
+        scaling: Option<&ScalingResult>,
+    ) -> Result<SolveReport, Cancelled> {
+        ws.run(|ws| self.solve_stages(g, ws, token, scaling))
     }
 
     /// The stage driver behind [`Solver::solve`], running in whatever pool
@@ -494,6 +524,7 @@ impl Pipeline {
         g: &BipartiteGraph,
         ws: &mut Workspace,
         token: &CancelToken,
+        scaling: Option<&ScalingResult>,
     ) -> Result<SolveReport, Cancelled> {
         if let Workload::Decompose(inner) = &self.workload {
             return self.solve_decompose(g, inner, ws, token);
@@ -505,11 +536,14 @@ impl Pipeline {
 
         if let Some(stage) = &self.scale {
             let t0 = Instant::now();
-            match stage.method {
-                ScaleMethod::SinkhornKnopp => {
+            match (scaling, stage.method) {
+                (Some(scaling), _) => copy_scaling(scaling, &mut ws.scaling),
+                (None, ScaleMethod::SinkhornKnopp) => {
                     sinkhorn_knopp_cancel_into(g, &stage.config, &mut ws.scaling, token)?
                 }
-                ScaleMethod::Ruiz => ruiz_cancel_into(g, &stage.config, &mut ws.scaling, token)?,
+                (None, ScaleMethod::Ruiz) => {
+                    ruiz_cancel_into(g, &stage.config, &mut ws.scaling, token)?
+                }
             }
             stages.push(StageReport {
                 stage: stage.label(),

@@ -60,13 +60,18 @@
 //! Jobs are spawned onto the [`WorkspacePool`] as stealable tasks:
 //! concurrent jobs solve on distinct pinned-1-thread slot workspaces, so
 //! every result is byte-identical to a 1-thread solve of the same
-//! `(instance, seed)`. Admission control bounds each connection's
-//! in-flight queue (`max_queue`): beyond it, jobs get an immediate
-//! structured `"queue"` error instead of unbounded memory growth. Input
-//! lines longer than [`ServeOptions::max_line_bytes`] are discarded in
-//! bounded memory and answered with a `"parse"` error. *Every* failure —
-//! malformed JSON, unknown algorithm, missing handle, even a solver panic —
-//! becomes an error reply; the daemon never dies on a bad job.
+//! `(instance, seed)`. Jobs start in the order they became runnable
+//! (every handle they claim granted): each task starts the oldest
+//! runnable job, whichever task the pool runs first. Every connection
+//! spawns into one daemon-wide scope, so a session ends once its own jobs
+//! have replied, whatever other clients still run. Admission control
+//! bounds each connection's in-flight queue (`max_queue`): beyond it,
+//! jobs get an immediate structured `"queue"` error instead of unbounded
+//! memory growth. Input lines longer than
+//! [`ServeOptions::max_line_bytes`] are discarded in bounded memory and
+//! answered with a `"parse"` error. *Every* failure — malformed JSON,
+//! unknown algorithm, missing handle, even a solver panic — becomes an
+//! error reply; the daemon never dies on a bad job.
 //!
 //! A handle exists only once a job has `store`d an instance under it: a
 //! job naming a handle that no job stored leaves nothing behind, so a
@@ -118,6 +123,20 @@
 //! `auto`) its `"selected"` engine make the saving observable: a delta
 //! whose cached matching survives the mutation certifies in one phase.
 //!
+//! ## Scaling memo
+//!
+//! A handle also keeps the scaling of its instance: a `store` solve with
+//! a `scale` stage leaves that stage's result with the handle, and a
+//! later solve whose stage is the same (method, iteration count,
+//! tolerance) copies it instead of iterating. Reads never fill the memo,
+//! so a handle stored unscaled, or re-stored by a `delta`, has none.
+//! Scaling draws no random numbers and every job
+//! runs on a 1-thread slot, so the reply is byte-identical to a fresh
+//! solve's except for the `scale:…` stage's `"seconds"`. A `dm,` job
+//! scales each extracted block on its own and never uses the memo; a
+//! `delta` or a new `store` replaces the handle's state, memo included.
+//! The memo counts toward the handle's bytes in the cache budget.
+//!
 //! [`Csr::patched`]: dsmatch_graph::Csr::patched
 //! [`CancelToken`]: dsmatch_graph::CancelToken
 //! [`Pipeline::solve_cancel`]: super::pipeline::Pipeline::solve_cancel
@@ -132,10 +151,11 @@ use std::time::{Duration, Instant};
 use dsmatch_exact::sprank;
 use dsmatch_graph::{BipartiteGraph, CancelToken, Matching, TripletMatrix, NIL};
 use dsmatch_json::{parse_json, Json};
+use dsmatch_scale::ScalingResult;
 
 use super::batch::WorkspacePool;
 use super::faults;
-use super::pipeline::{run_augment, timed_stage, Pipeline};
+use super::pipeline::{run_augment, timed_stage, Pipeline, ScaleStage, Workload};
 use super::registry::AlgorithmKind;
 use super::report::SolveReport;
 use super::workspace::{observed_parallelism, Workspace};
@@ -175,7 +195,8 @@ pub struct ServeOptions {
     /// reply.
     pub max_queue: usize,
     /// Byte budget for the instance cache; least-recently-used idle
-    /// handles are evicted when the cached graphs + mates exceed it.
+    /// handles are evicted when the cached graphs, mates and scaling memos
+    /// exceed it.
     pub cache_bytes: usize,
     /// Maximum concurrent socket connections (`0` = unlimited). Excess
     /// connections receive one `{"event":"error","code":"busy",…}` line
@@ -553,20 +574,30 @@ fn parse_job(v: &Json, id: &Json) -> Result<Job, JobError> {
 // Instance cache
 // ---------------------------------------------------------------------------
 
+/// A scale stage and the scaling it computes on a handle's instance.
+type ScalingMemo = (ScaleStage, Arc<ScalingResult>);
+
 #[derive(Default)]
 struct HandleState {
     graph: Option<Arc<BipartiteGraph>>,
     mates: Option<Matching>,
+    /// The scaling of `graph` under the scale stage of the `store` solve
+    /// that cached it. A `store` or `delta` replaces the whole state, so
+    /// the memo never outlives its instance.
+    scaling: Option<ScalingMemo>,
 }
 
 impl HandleState {
     fn approx_bytes(&self) -> usize {
-        let graph = self.mates.as_ref().map_or(0, |m| 4 * (m.nrows() + m.ncols()));
-        self.graph.as_ref().map_or(graph, |g| {
-            // CSR + CSC: two index arrays of nnz u32 entries plus two
-            // pointer arrays of (dim + 1) usize entries.
-            graph + 8 * g.nnz() + 8 * (g.nrows() + g.ncols() + 2)
-        })
+        let mates = self.mates.as_ref().map_or(0, |m| 4 * (m.nrows() + m.ncols()));
+        let scaling = self.scaling.as_ref().map_or(0, |(_, s)| {
+            8 * (s.dr.len() + s.dc.len() + s.row_sums.len() + s.col_sums.len() + s.history.len())
+        });
+        // CSR + CSC: two index arrays of nnz u32 entries plus two pointer
+        // arrays of (dim + 1) usize entries.
+        let graph =
+            self.graph.as_ref().map_or(0, |g| 8 * g.nnz() + 8 * (g.nrows() + g.ncols() + 2));
+        mates + scaling + graph
     }
 }
 
@@ -732,6 +763,9 @@ impl Cache {
 struct ServeCore {
     pool: WorkspacePool,
     cache: Mutex<Cache>,
+    /// Jobs free to start (every claim granted), oldest first; see
+    /// [`start`].
+    runnable: Mutex<VecDeque<Arc<Ticket>>>,
     opts: ServeOptions,
     observed_workers: usize,
     shutdown: AtomicBool,
@@ -748,6 +782,7 @@ impl ServeCore {
                 clock: 0,
                 budget: faults::cache_budget(opts.cache_bytes),
             }),
+            runnable: Mutex::new(VecDeque::new()),
             opts: opts.clone(),
             observed_workers,
             shutdown: AtomicBool::new(false),
@@ -760,13 +795,19 @@ impl ServeCore {
     }
 
     /// The one handle-state write, for `store`-ing solves and deltas
-    /// alike: cache `graph` and `mates` under `handle`, then evict idle
-    /// handles down to the budget (never `handle` itself).
-    fn store(&self, handle: &str, graph: Arc<BipartiteGraph>, mates: Matching) {
+    /// alike: cache `graph`, `mates` and the scaling memo under `handle`,
+    /// then evict idle handles down to the budget (never `handle` itself).
+    fn store(
+        &self,
+        handle: &str,
+        graph: Arc<BipartiteGraph>,
+        mates: Matching,
+        scaling: Option<ScalingMemo>,
+    ) {
         let entry = lock(&self.cache).entry_for(handle);
         {
             let mut state = lock(&entry.state);
-            *state = HandleState { graph: Some(graph), mates: Some(mates) };
+            *state = HandleState { graph: Some(graph), mates: Some(mates), scaling };
             entry.bytes.store(state.approx_bytes(), Ordering::Relaxed);
         }
         lock(&self.cache).evict_to_budget(handle);
@@ -1017,28 +1058,41 @@ fn execute_solve(
     ctx: &JobCtx,
     source: Option<&HandleEntry>,
 ) -> Result<Json, JobError> {
-    let graph: Arc<BipartiteGraph> = match &job.instance {
-        InstanceRef::Gen(spec) => Arc::new(parse_gen_spec(spec).map_err(|e| (code::INSTANCE, e))?),
+    let (graph, memo): (Arc<BipartiteGraph>, Option<ScalingMemo>) = match &job.instance {
+        InstanceRef::Gen(spec) => {
+            (Arc::new(parse_gen_spec(spec).map_err(|e| (code::INSTANCE, e))?), None)
+        }
         InstanceRef::Inline { nrows, ncols, edges } => {
-            Arc::new(build_inline(*nrows, *ncols, edges)?)
+            (Arc::new(build_inline(*nrows, *ncols, edges)?), None)
         }
         InstanceRef::Handle(h) => {
             let entry = source
                 .ok_or_else(|| (code::HANDLE, format!("no instance cached under handle {h:?}")))?;
-            let graph = lock(&entry.state).graph.clone();
-            graph.ok_or_else(|| {
+            let state = lock(&entry.state);
+            let graph = state.graph.clone().ok_or_else(|| {
                 (code::HANDLE, format!("handle {h:?} exists but has no cached instance yet"))
-            })?
+            })?;
+            (graph, state.scaling.clone())
         }
     };
 
-    let solved_report = core.pool.with_workspace(|ws| {
-        job.pipeline.clone().with_seed(job.seed).solve_cancel(&graph, ws, &ctx.token)
+    // The memo key is the job's scale stage. A `dm,` job scales each
+    // extracted block on its own, so it neither reads nor fills a memo.
+    let stage =
+        job.pipeline.scale.filter(|_| !matches!(job.pipeline.workload, Workload::Decompose(_)));
+    let hit = memo.filter(|(key, _)| Some(*key) == stage).map(|(_, s)| s);
+    // A `store` leaves its stage's scaling with the handle it fills: the
+    // hit it copied, or a copy of what it computed.
+    let keep = stage.is_some() && hit.is_none() && job.store.is_some();
+    let outcome = core.pool.with_workspace(|ws| {
+        let pipeline = job.pipeline.clone().with_seed(job.seed);
+        let report = pipeline.solve_scaled(&graph, ws, &ctx.token, hit.as_deref());
+        report.map(|report| (report, keep.then(|| Arc::new(ws.scaling.clone()))))
     });
-    let Ok(mut report) = solved_report else { return Err(ctx.deadline_error()) };
+    let Ok((mut report, kept)) = outcome else { return Err(ctx.deadline_error()) };
     check_report(&mut report, &graph, ctx, job.quality)?;
     if let Some(handle) = &job.store {
-        core.store(handle, Arc::clone(&graph), report.matching.clone());
+        core.store(handle, Arc::clone(&graph), report.matching.clone(), stage.zip(hit.or(kept)));
     }
 
     let mut fields =
@@ -1110,7 +1164,7 @@ fn execute_delta(
     };
     let mut report = SolveReport::new(matching, vec![stage]);
     check_report(&mut report, &mutated, ctx, job.quality)?;
-    core.store(&job.handle, Arc::new(mutated), report.matching.clone());
+    core.store(&job.handle, Arc::new(mutated), report.matching.clone(), None);
 
     let fields = vec![
         ("handle", Json::from(job.handle.as_str())),
@@ -1190,10 +1244,9 @@ fn run_job<'s>(scope: &rayon::Scope<'s>, ticket: Arc<Ticket>) {
     // reply goes out: a client that reacts to the reply instantly — e.g.
     // with a `drop` — must observe the handle idle, not racily busy.
     for next in conn.core.release(claims) {
-        // A successor may belong to a different connection; it joins
-        // whichever scope is current — its owner's drain tracks it through
-        // the owner's in-flight counter, not scope membership.
-        scope.spawn(move |s| run_job(s, next));
+        // A successor may belong to a different connection: its owner's
+        // drain tracks it through the owner's in-flight counter.
+        start(scope, next);
     }
     // Deregister before the reply goes out: a client reacting to the reply
     // with a `cancel` of the same id must get a clean "no such job". Only
@@ -1261,9 +1314,28 @@ fn schedule<'s>(conn: &Arc<Conn>, scope: &rayon::Scope<'s>, job: Job) -> Result<
     let ready = ticket.waiting.load(Ordering::SeqCst) == 0;
     drop(cache);
     if ready {
-        scope.spawn(move |s| run_job(s, ticket));
+        start(scope, ticket);
     }
     Ok(())
+}
+
+/// Queue a job whose claims are all granted, and spawn one pool task for
+/// it. Every task runs the *oldest* queued job, not its own: tasks are
+/// interchangeable, so jobs start in the order they became runnable
+/// whatever order the pool's deques run the tasks in (a worker pops its
+/// own deque newest-first). A task may so run another connection's job;
+/// `scope` is the daemon-wide one (see [`serve_stream`]), which no
+/// session waits on.
+fn start<'s>(scope: &rayon::Scope<'s>, ticket: Arc<Ticket>) {
+    let core = Arc::clone(&ticket.conn.core);
+    lock(&core.runnable).push_back(ticket);
+    scope.spawn(move |s| {
+        // One task per queued job, each popping once: never empty here.
+        let oldest = lock(&core.runnable).pop_front();
+        if let Some(ticket) = oldest {
+            run_job(s, ticket);
+        }
+    });
 }
 
 /// Process one input line: answer inline ops at once and hand
@@ -1411,7 +1483,17 @@ fn read_line_capped<R: BufRead>(input: &mut R, cap: usize) -> std::io::Result<Ev
 // Session entry points
 // ---------------------------------------------------------------------------
 
-fn serve_stream<R, W>(core: &Arc<ServeCore>, mut input: R, output: W) -> ServeSummary
+/// Serve one connection until it has drained. Its jobs run as tasks of
+/// `jobs`, the daemon-wide scope that every connection spawns into and
+/// only the daemon's exit joins: a task can run any connection's job (see
+/// [`start`]), so a per-connection scope would hold a hung-up session
+/// open until another client's job ends.
+fn serve_stream<'s, R, W>(
+    core: &Arc<ServeCore>,
+    jobs: &rayon::Scope<'s>,
+    mut input: R,
+    output: W,
+) -> ServeSummary
 where
     R: BufRead + Send + 'static,
     W: Write,
@@ -1451,10 +1533,7 @@ where
             return;
         }
     });
-    // The connection loop runs as a scope body on this thread; workers
-    // drain jobs concurrently. The scope joins any task still running
-    // here (e.g. a cross-connection successor) after the drain.
-    core.pool.rayon_pool().scope(|s| conn_loop(&conn, s, &rx, &mut out));
+    conn_loop(&conn, jobs, &rx, &mut out);
     let summary = conn.summary();
     out.event(&Json::obj(vec![
         ("event", Json::from("shutdown")),
@@ -1474,7 +1553,8 @@ where
     R: BufRead + Send + 'static,
     W: Write,
 {
-    serve_stream(&Arc::new(ServeCore::new(opts)), input, output)
+    let core = Arc::new(ServeCore::new(opts));
+    core.pool.rayon_pool().scope(|jobs| serve_stream(&core, jobs, input, output))
 }
 
 /// Serve connections on a Unix domain socket **concurrently** — one
@@ -1532,61 +1612,66 @@ pub fn serve_unix_socket(
     let mut next_id: u64 = 0;
     let mut fatal: Option<std::io::Error> = None;
 
-    std::thread::scope(|s| {
-        while !(core.shutdown.load(Ordering::SeqCst) || core.stop_requested()) {
-            match listener.accept() {
-                Ok((mut stream, _addr)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let limit = core.opts.max_clients;
-                    let (error_code, message) = if limit > 0 && lock(&registry).len() >= limit {
-                        (code::BUSY, format!("daemon at max_clients ({limit}); retry later"))
-                    } else if let (Ok(reader), Ok(registered)) =
-                        (stream.try_clone(), stream.try_clone())
-                    {
-                        let id = next_id;
-                        next_id += 1;
-                        lock(&registry).insert(id, registered);
-                        let (core, registry, totals) = (&core, &registry, &totals);
-                        s.spawn(move || {
-                            let summary =
-                                serve_stream(core, std::io::BufReader::new(reader), stream);
-                            let mut total = lock(totals);
-                            total.jobs += summary.jobs;
-                            total.ok += summary.ok;
-                            total.errors += summary.errors;
-                            total.shutdown |= summary.shutdown;
-                            lock(registry).remove(&id);
-                        });
-                        continue;
-                    } else {
-                        (code::INTERNAL, "failed to clone the connection stream".to_string())
-                    };
-                    let doc = Json::obj(vec![
-                        ("event", Json::from("error")),
-                        ("code", Json::from(error_code)),
-                        ("error", Json::from(message)),
-                    ]);
-                    let _ = writeln!(stream, "{doc}"); // dropped: connection closed
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => {
-                    fatal = Some(e);
-                    break;
+    // Sessions run on scoped threads and spawn their jobs into `jobs`,
+    // which joins the last task once every session has drained.
+    core.pool.rayon_pool().scope(|jobs| {
+        std::thread::scope(|s| {
+            while !(core.shutdown.load(Ordering::SeqCst) || core.stop_requested()) {
+                match listener.accept() {
+                    Ok((mut stream, _addr)) => {
+                        let _ = stream.set_nonblocking(false);
+                        let limit = core.opts.max_clients;
+                        let (error_code, message) = if limit > 0 && lock(&registry).len() >= limit {
+                            (code::BUSY, format!("daemon at max_clients ({limit}); retry later"))
+                        } else if let (Ok(reader), Ok(registered)) =
+                            (stream.try_clone(), stream.try_clone())
+                        {
+                            let id = next_id;
+                            next_id += 1;
+                            lock(&registry).insert(id, registered);
+                            let (core, registry, totals) = (&core, &registry, &totals);
+                            s.spawn(move || {
+                                let reader = std::io::BufReader::new(reader);
+                                let summary = serve_stream(core, jobs, reader, stream);
+                                let mut total = lock(totals);
+                                total.jobs += summary.jobs;
+                                total.ok += summary.ok;
+                                total.errors += summary.errors;
+                                total.shutdown |= summary.shutdown;
+                                lock(registry).remove(&id);
+                            });
+                            continue;
+                        } else {
+                            (code::INTERNAL, "failed to clone the connection stream".to_string())
+                        };
+                        let doc = Json::obj(vec![
+                            ("event", Json::from("error")),
+                            ("code", Json::from(error_code)),
+                            ("error", Json::from(message)),
+                        ]);
+                        let _ = writeln!(stream, "{doc}"); // dropped: connection closed
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => {
+                        fatal = Some(e);
+                        break;
+                    }
                 }
             }
-        }
-        // Stopping (client shutdown op, SIGTERM, or a fatal accept
-        // error): make sure every session notices, and unblock reader
-        // threads parked on idle connections. Sessions then drain their
-        // in-flight jobs; the scope join below waits for all of them.
-        core.shutdown.store(true, Ordering::SeqCst);
-        let streams: Vec<UnixStream> = lock(&registry).drain().map(|(_, stream)| stream).collect();
-        for stream in streams {
-            let _ = stream.shutdown(std::net::Shutdown::Read);
-        }
+            // Stopping (client shutdown op, SIGTERM, or a fatal accept
+            // error): make sure every session notices, and unblock reader
+            // threads parked on idle connections. Sessions then drain their
+            // in-flight jobs; the scope join below waits for all of them.
+            core.shutdown.store(true, Ordering::SeqCst);
+            let streams: Vec<UnixStream> =
+                lock(&registry).drain().map(|(_, stream)| stream).collect();
+            for stream in streams {
+                let _ = stream.shutdown(std::net::Shutdown::Read);
+            }
+        })
     });
 
     let _ = std::fs::remove_file(path);
@@ -1711,6 +1796,143 @@ mod tests {
         assert!(!q.idle());
         assert!(q.leave(Mode::Read).is_empty() && q.leave(Mode::Read).is_empty());
         assert!(q.idle());
+    }
+
+    /// Run `input` as one session on `core`, whose cache outlives it, and
+    /// return its lines.
+    fn session(core: &Arc<ServeCore>, input: &str) -> Vec<Json> {
+        let input = std::io::Cursor::new(input.to_string());
+        let mut out = Vec::new();
+        let summary =
+            core.pool.rayon_pool().scope(|jobs| serve_stream(core, jobs, input, &mut out));
+        assert_eq!(summary.errors, 0);
+        String::from_utf8(out).unwrap().lines().map(|l| parse_json(l).unwrap()).collect()
+    }
+
+    fn entry(core: &ServeCore, handle: &str) -> Arc<HandleEntry> {
+        lock(&core.cache).entries.get(handle).cloned().expect("a cached handle")
+    }
+
+    fn memo(core: &ServeCore, handle: &str) -> Option<ScalingMemo> {
+        lock(&entry(core, handle).state).scaling.clone()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_store_memoizes_its_scaling_and_counts_it_in_the_cache_bytes() {
+        let core = Arc::new(ServeCore::new(&opts(1)));
+        session(
+            &core,
+            "{\"id\":1,\"pipeline\":\"scale:sk:5,two,pr\",\"instance\":\"gen:er:300:4:2\",\"store\":\"h\"}\n",
+        );
+        let h = entry(&core, "h");
+        let state = lock(&h.state);
+        let graph = state.graph.clone().expect("a stored instance");
+        let (stage, memo_h) = state.scaling.clone().expect("the store filled the memo");
+        assert_eq!(stage.label(), "scale:sk:5");
+        let fresh = dsmatch_scale::sinkhorn_knopp(&graph, &stage.config);
+        assert_eq!(bits(&memo_h.dr), bits(&fresh.dr));
+        assert_eq!(bits(&memo_h.dc), bits(&fresh.dc));
+        assert_eq!(bits(&memo_h.row_sums), bits(&fresh.row_sums));
+        assert_eq!(bits(&memo_h.col_sums), bits(&fresh.col_sums));
+        assert_eq!(bits(&memo_h.history), bits(&fresh.history));
+        assert_eq!((memo_h.iterations, memo_h.error.to_bits()), (5, fresh.error.to_bits()));
+        let memo_bytes = 8 * (2 * 300 + 2 * 300 + 5);
+        let bytes = h.bytes.load(Ordering::Relaxed);
+        assert_eq!(bytes, state.approx_bytes());
+        let unscaled =
+            HandleState { graph: state.graph.clone(), mates: state.mates.clone(), scaling: None };
+        assert_eq!(bytes, unscaled.approx_bytes() + memo_bytes);
+        drop(state);
+
+        // Reads keep the memo: a hit, another stage and a `dm,` job leave
+        // the same scaling in place. A store of the same instance under
+        // the same stage carries the hit over.
+        session(
+            &core,
+            concat!(
+                "{\"id\":2,\"pipeline\":\"scale:sk:5,suitor\",\"instance\":{\"handle\":\"h\"}}\n",
+                "{\"id\":3,\"pipeline\":\"scale:sk:3,two\",\"instance\":{\"handle\":\"h\"}}\n",
+                "{\"id\":4,\"pipeline\":\"dm,scale:sk:5,two\",\"instance\":{\"handle\":\"h\"}}\n",
+                "{\"id\":5,\"pipeline\":\"scale:sk:5,two\",\"instance\":{\"handle\":\"h\"},\"store\":\"h2\"}\n",
+            ),
+        );
+        let (_, kept) = memo(&core, "h").expect("still memoized");
+        assert!(Arc::ptr_eq(&kept, &memo_h));
+        let (_, copied) = memo(&core, "h2").expect("the store carried the memo over");
+        assert!(Arc::ptr_eq(&copied, &memo_h));
+
+        // A delta replaces the state, and reads never fill a memo.
+        session(&core, "{\"id\":6,\"op\":\"delta\",\"handle\":\"h\",\"add\":[[0,1]]}\n");
+        assert!(memo(&core, "h").is_none());
+        session(
+            &core,
+            "{\"id\":7,\"pipeline\":\"scale:sk:3,two\",\"instance\":{\"handle\":\"h\"}}\n",
+        );
+        assert!(memo(&core, "h").is_none());
+    }
+
+    /// A hit samples from the memo itself: with a 1-iteration scaling
+    /// planted under the `scale:sk:5` key, a `scale:sk:5,two` read
+    /// reports 1 iteration and samples what `scale:sk:1,two` samples.
+    #[test]
+    fn a_hit_samples_from_the_memo_not_a_fresh_scaling() {
+        let core = Arc::new(ServeCore::new(&opts(1)));
+        let gen = "\"instance\":\"gen:er:300:4:2\"";
+        session(
+            &core,
+            &format!("{{\"id\":1,\"pipeline\":\"scale:sk:5,two\",{gen},\"store\":\"h\"}}\n"),
+        );
+        let h = entry(&core, "h");
+        {
+            let mut state = lock(&h.state);
+            let graph = state.graph.clone().expect("a stored instance");
+            let (stage, _) = state.scaling.clone().expect("the store filled the memo");
+            let config = dsmatch_scale::ScalingConfig { max_iterations: 1, ..stage.config };
+            state.scaling = Some((stage, Arc::new(dsmatch_scale::sinkhorn_knopp(&graph, &config))));
+        }
+        let read = |pipeline: &str, instance: &str| {
+            let job = format!(
+                "{{\"id\":2,\"pipeline\":\"{pipeline}\",\"seed\":9,{instance},\"mates\":true}}\n"
+            );
+            session(&core, &job).swap_remove(1)
+        };
+        let hit = read("scale:sk:5,two", "\"instance\":{\"handle\":\"h\"}");
+        let one = read("scale:sk:1,two", gen);
+        let five = read("scale:sk:5,two", gen);
+        let iterations =
+            |r: &Json| r.get("report").and_then(|r| r.get("scaling_iterations")).cloned();
+        assert_eq!(iterations(&hit), Some(Json::from(1usize)));
+        assert_eq!(hit.get("rmate"), one.get("rmate"));
+        assert_ne!(hit.get("rmate"), five.get("rmate"), "the two scalings sample apart");
+    }
+
+    #[test]
+    fn a_cancelled_store_leaves_the_memo_it_would_replace() {
+        let core = Arc::new(ServeCore::new(&opts(1)));
+        let gen = "\"instance\":\"gen:er:300:4:2\",\"store\":\"h\"";
+        session(&core, &format!("{{\"id\":1,\"pipeline\":\"scale:sk:5,two\",{gen}}}\n"));
+        let (_, before) = memo(&core, "h").expect("the store filled the memo");
+
+        let line = format!("{{\"id\":2,\"pipeline\":\"scale:sk:3,two\",{gen}}}");
+        let id = Json::Int(2);
+        let job = parse_job(&parse_json(&line).unwrap(), &id).unwrap();
+        let Op::Solve(sj) = &job.op else { panic!("a solve job") };
+        let cancelled = JobCtx { token: CancelToken::unbounded(), deadline_ms: None, ord: 0 };
+        cancelled.token.cancel();
+        let (code, _) = execute_solve(&core, &id, sj, &cancelled, None).unwrap_err();
+        assert_eq!(code, code::DEADLINE);
+        let (stage, after) = memo(&core, "h").expect("still memoized");
+        assert_eq!(stage.label(), "scale:sk:5");
+        assert!(Arc::ptr_eq(&after, &before), "a cancelled store replaces nothing");
+
+        let ctx = JobCtx { token: CancelToken::unbounded(), deadline_ms: None, ord: 0 };
+        execute_solve(&core, &id, sj, &ctx, None).unwrap();
+        let (stage, _) = memo(&core, "h").expect("memoized");
+        assert_eq!(stage.label(), "scale:sk:3", "the same store uncancelled replaces it");
     }
 
     #[test]

@@ -574,6 +574,105 @@ fn golden_transcripts_pin_every_reply_byte() {
 }
 
 // ---------------------------------------------------------------------------
+// The scaling memo and job start order
+// ---------------------------------------------------------------------------
+
+/// Each reply of one session, keyed by its string id, with `"seconds"`
+/// zeroed.
+fn replies_by_id(input: &str) -> std::collections::BTreeMap<String, String> {
+    let opts = ServeOptions { threads: 2, ..ServeOptions::default() };
+    let mut lines = run_serve(input, &opts);
+    let events = lines.len() - 1;
+    lines[1..events]
+        .iter_mut()
+        .map(|doc| {
+            assert_ok(doc);
+            zero_seconds(doc);
+            (doc.get("id").and_then(Json::as_str).expect("string ids").to_string(), doc.to_string())
+        })
+        .collect()
+}
+
+/// A handle keeps the scaling its `store` computed, and later solves with
+/// the same scale stage take it instead of iterating. Hits, misses and the
+/// `dm,` jobs that never use it reply exactly like fresh solves of the
+/// same instance, `"seconds"` aside, and so does a solve after a `delta`,
+/// which drops the memo with the instance it described.
+#[test]
+fn memoized_scaling_replies_like_a_fresh_solve() {
+    let (n, degree, seed) = (2000, 4.0, 7);
+    let gen = format!("\"gen:er:{n}:{degree}:{seed}\"");
+    let reads = [
+        ("sk5-a", "scale:sk:5,two,pr", 1),
+        ("sk5-b", "scale:sk:5,two,pr", 7),
+        ("suitor", "scale:sk:5,suitor", 1),
+        ("sk3-miss", "scale:sk:3,two", 1),
+        ("dm", "dm,scale:sk:5,two,pr", 1),
+    ];
+    let job = |id: &str, pipeline: &str, seed: u64, instance: &str| {
+        format!(
+            "{{\"id\":\"{id}\",\"pipeline\":\"{pipeline}\",\"seed\":{seed},\"instance\":{instance},\"mates\":true}}\n"
+        )
+    };
+
+    // The instance and the delta applied to it, with the mutated pattern
+    // sent inline to the fresh daemon.
+    let g = dsmatch::gen::erdos_renyi_square(n, degree, seed);
+    let mut edges = std::collections::BTreeSet::new();
+    for i in 0..n {
+        edges.extend(g.row_adj(i).iter().map(|&j| (i, j as usize)));
+    }
+    let remove: Vec<(usize, usize)> = (0..8).map(|i| (i, g.row_adj(i)[0] as usize)).collect();
+    let add: Vec<(usize, usize)> =
+        (8..16).map(|i| (i, (i * 37 + 11) % n)).filter(|e| !edges.contains(e)).collect();
+    assert!(!add.is_empty());
+    edges.retain(|e| !remove.contains(e));
+    edges.extend(&add);
+    let mutated = inline_instance(n, n, &edges.into_iter().collect::<Vec<_>>());
+    let after = [("delta-a", 1), ("delta-b", 3)];
+
+    let mut cached = format!(
+        "{{\"id\":\"store\",\"pipeline\":\"scale:sk:5,two,pr\",\"instance\":{gen},\"store\":\"h\"}}\n"
+    );
+    let mut fresh = String::new();
+    for (id, pipeline, seed) in reads {
+        cached += &job(id, pipeline, seed, "{\"handle\":\"h\"}");
+        fresh += &job(id, pipeline, seed, &gen);
+    }
+    cached += &format!(
+        "{{\"id\":\"delta\",\"op\":\"delta\",\"handle\":\"h\",\"add\":{},\"remove\":{}}}\n",
+        edges_json(&add),
+        edges_json(&remove)
+    );
+    for (id, seed) in after {
+        cached += &job(id, "scale:sk:5,two", seed, "{\"handle\":\"h\"}");
+        fresh += &job(id, "scale:sk:5,two", seed, &mutated);
+    }
+
+    let (cached, fresh) = (replies_by_id(&cached), replies_by_id(&fresh));
+    let ids = reads.iter().map(|r| r.0).chain(after.iter().map(|a| a.0));
+    for id in ids {
+        assert_eq!(cached[id], fresh[id], "job {id}");
+    }
+}
+
+/// Jobs start in the order they became runnable: three short sleeps
+/// queued behind a long one on a one-worker pool start oldest first.
+#[test]
+fn queued_jobs_start_oldest_first() {
+    let input = concat!(
+        "{\"id\":\"a\",\"op\":\"sleep\",\"ms\":300}\n",
+        "{\"id\":\"b\",\"op\":\"sleep\",\"ms\":1}\n",
+        "{\"id\":\"c\",\"op\":\"sleep\",\"ms\":1}\n",
+        "{\"id\":\"d\",\"op\":\"sleep\",\"ms\":1}\n",
+    );
+    let lines = run_serve(input, &ServeOptions { threads: 1, ..ServeOptions::default() });
+    let order: Vec<&str> =
+        lines.iter().filter_map(|l| l.get("id").and_then(Json::as_str)).collect();
+    assert_eq!(order, ["a", "b", "c", "d"]);
+}
+
+// ---------------------------------------------------------------------------
 // Real-binary tests
 // ---------------------------------------------------------------------------
 
@@ -1015,6 +1114,67 @@ fn max_clients_overflow_is_rejected_with_busy_and_slot_is_reclaimed() {
     };
     let bye = third.round_trip("{\"id\":\"bye\",\"op\":\"shutdown\"}", "bye");
     assert!(bye.contains("\"ok\":true"), "{bye}");
+    assert!(child.wait().expect("waiting for daemon").success());
+}
+
+/// A session ends with its own jobs, not with the pool task that started
+/// them. At `--threads 1`, client A's short sleep and then client B's
+/// long one queue behind a job holding the worker; the task spawned for
+/// A's job then starts B's. A hangs up once answered: it still gets its
+/// shutdown line, and a new client its `--max-clients` slot, while B's
+/// sleep runs (B can still cancel it).
+#[cfg(unix)]
+#[test]
+fn a_hang_up_frees_the_slot_while_another_clients_job_runs() {
+    let path = socket_path("hang-up");
+    let mut child =
+        serve_cmd(&["--threads", "1", "--max-clients", "2", "--socket", path.to_str().unwrap()])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawning socket daemon");
+    let mut b = SocketClient::ready(&path);
+    let mut a = SocketClient::ready(&path);
+    // A ping answered after a job line proves the line was scheduled.
+    b.send("{\"id\":\"busy\",\"op\":\"sleep\",\"ms\":1000}");
+    b.round_trip("{\"id\":\"p1\",\"op\":\"ping\"}", "p1");
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    a.send("{\"id\":\"a\",\"op\":\"sleep\",\"ms\":1}");
+    a.round_trip("{\"id\":\"p2\",\"op\":\"ping\"}", "p2");
+    b.send("{\"id\":\"long\",\"op\":\"sleep\",\"ms\":10000}");
+    b.round_trip("{\"id\":\"p3\",\"op\":\"ping\"}", "p3");
+    let reply = a.next();
+    assert!(reply.contains("\"id\":\"a\"") && reply.contains("\"ok\":true"), "{reply}");
+
+    a.write.shutdown(std::net::Shutdown::Write).expect("half-closing A");
+    let goodbye = a.next();
+    assert!(goodbye.contains("\"event\":\"shutdown\""), "{goodbye}");
+    let deadline = std::time::Instant::now() + test_timeout(30);
+    let mut c = loop {
+        let mut c = SocketClient::new(connect_socket(&path));
+        let first_line = c.next();
+        if first_line.contains("\"event\":\"ready\"") {
+            break c;
+        }
+        assert!(first_line.contains("\"code\":\"busy\""), "unexpected line: {first_line}");
+        assert!(std::time::Instant::now() < deadline, "slot never reclaimed");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    c.round_trip("{\"id\":\"p4\",\"op\":\"ping\"}", "p4");
+
+    b.send("{\"id\":\"stop\",\"op\":\"cancel\",\"job\":\"long\"}");
+    let mut next_of = |id: &str| loop {
+        let line = b.next();
+        if line.contains(&format!("\"id\":{id:?}")) {
+            break line;
+        }
+    };
+    let cancel = next_of("stop");
+    assert!(cancel.contains("\"ok\":true"), "B's sleep was still running: {cancel}");
+    let long = next_of("long");
+    assert!(long.contains("\"cancelled\":true"), "{long}");
+    c.round_trip("{\"id\":\"bye\",\"op\":\"shutdown\"}", "bye");
     assert!(child.wait().expect("waiting for daemon").success());
 }
 
