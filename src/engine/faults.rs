@@ -23,7 +23,7 @@
 //! | `stall:stage=start:job=2:ms=100` | same, but only for the 2nd job |
 //! | `truncate-reply:nth=2` | cut the 2nd reply line in half before writing it |
 //! | `garbage-reply:nth=4` | replace the 4th reply line with garbage bytes |
-//! | `cache-exhaust` | clamp the serve handle cache budget to zero (every stored handle evicts immediately) |
+//! | `cache-exhaust` | clamp the serve handle cache budget to zero (a stored handle lasts until the next store, which evicts it once no job claims it) |
 //!
 //! Malformed entries are reported on stderr and skipped — a typo in a
 //! chaos run degrades to "fault not injected", never to a crashed daemon.

@@ -48,30 +48,36 @@
 //! [`WorkspacePool`] — bounded by [`ServeOptions::max_clients`] (excess
 //! connections are turned away with a structured `"busy"` error line).
 //! Per-connection reply ordering is whatever job *completion* order is.
-//! Jobs naming the same handle start in daemon-wide submission order (a
-//! per-handle reader/writer FIFO that spans connections): solves that
-//! only read a cached handle run side by side, while a `store` or `delta`
-//! holds it alone, and no job starts ahead of an earlier one it conflicts
-//! with. A solve that reads one handle and stores under another claims
-//! both, the source as a read. So clients sharing a handle see a
-//! serializable history: every reply is the one a sequential submission
-//! would produce.
+//!
+//! One lock guards the cached instances and one daemon-wide list of every
+//! admitted worker job not yet finished, in submission order, with the
+//! handles each claims: a solve reads its `{"handle":…}` source and writes
+//! its `store` target, a `delta` writes its handle. After each submission
+//! and each finish, one pass over the list starts every waiting job that
+//! no earlier unfinished job conflicts with (same handle, either side
+//! writes). So solves that only read a cached handle run side by side, a
+//! `store` or `delta` holds its handle alone, and clients sharing a handle
+//! see a serializable history: every reply is the one a sequential
+//! submission would produce. The same list answers `cancel`, and keeps a
+//! claimed handle from `drop` and eviction.
 //!
 //! Jobs are spawned onto the [`WorkspacePool`] as stealable tasks:
 //! concurrent jobs solve on distinct pinned-1-thread slot workspaces, so
 //! every result is byte-identical to a 1-thread solve of the same
-//! `(instance, seed)`. Jobs start in the order they became runnable
-//! (every handle they claim granted): each task starts the oldest
-//! runnable job, whichever task the pool runs first. Every connection
-//! spawns into one daemon-wide scope, so a session ends once its own jobs
-//! have replied, whatever other clients still run. Admission control
-//! bounds each connection's in-flight queue (`max_queue`): beyond it,
-//! jobs get an immediate structured `"queue"` error instead of unbounded
-//! memory growth. Input lines longer than
+//! `(instance, seed)`. Jobs start in the order they became runnable (jobs
+//! that became runnable together oldest first): each task starts the
+//! oldest runnable job, whichever task the pool runs first. Every
+//! connection spawns into one daemon-wide scope, so a session ends once
+//! its own jobs have replied, whatever other clients still run. Admission
+//! control bounds each connection's in-flight queue (`max_queue`): beyond
+//! it, jobs get an immediate structured `"queue"` error instead of
+//! unbounded memory growth. Input lines longer than
 //! [`ServeOptions::max_line_bytes`] are discarded in bounded memory and
 //! answered with a `"parse"` error. *Every* failure — malformed JSON,
 //! unknown algorithm, missing handle, even a solver panic — becomes an
-//! error reply; the daemon never dies on a bad job.
+//! error reply, with one known exception: an instance whose arrays exceed
+//! memory (say `gen:er:4294967294:0.0000001`) aborts the process when its
+//! allocation fails.
 //!
 //! A handle exists only once a job has `store`d an instance under it: a
 //! job naming a handle that no job stored leaves nothing behind, so a
@@ -144,7 +150,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -194,7 +200,7 @@ pub struct ServeOptions {
     /// connection**. Jobs beyond it are rejected with a `"queue"` error
     /// reply.
     pub max_queue: usize,
-    /// Byte budget for the instance cache; least-recently-used idle
+    /// Byte budget for the instance cache; least-recently-used unclaimed
     /// handles are evicted when the cached graphs, mates and scaling memos
     /// exceed it.
     pub cache_bytes: usize,
@@ -296,7 +302,7 @@ pub fn parse_gen_spec(spec: &str) -> Result<BipartiteGraph, String> {
 }
 
 /// Poison-tolerant lock: a panicked job leaves shared state consistent
-/// (every critical section here is a few plain stores).
+/// (no critical section here can panic halfway through an update).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -415,9 +421,7 @@ impl Job {
 
 /// Everything a worker needs beyond the job itself: the armed cancel
 /// token, the budget it encodes (for replies), and the daemon-global
-/// submission ordinal the fault plan keys on. Shared with the
-/// connection's cancel registry, where the `Arc` identifies the job even
-/// when a client reuses its id.
+/// submission ordinal the fault plan keys on.
 #[derive(Debug)]
 struct JobCtx {
     token: CancelToken,
@@ -571,186 +575,149 @@ fn parse_job(v: &Json, id: &Json) -> Result<Job, JobError> {
 }
 
 // ---------------------------------------------------------------------------
-// Instance cache
+// Instance cache and job list
 // ---------------------------------------------------------------------------
 
 /// A scale stage and the scaling it computes on a handle's instance.
 type ScalingMemo = (ScaleStage, Arc<ScalingResult>);
 
-#[derive(Default)]
+/// One cached instance: what the last `store` solve or delta left under
+/// its handle.
+#[derive(Clone)]
 struct HandleState {
-    graph: Option<Arc<BipartiteGraph>>,
-    mates: Option<Matching>,
+    graph: Arc<BipartiteGraph>,
+    mates: Arc<Matching>,
     /// The scaling of `graph` under the scale stage of the `store` solve
     /// that cached it. A `store` or `delta` replaces the whole state, so
     /// the memo never outlives its instance.
     scaling: Option<ScalingMemo>,
+    /// When a job last claimed or stored the handle, on [`Shared::clock`].
+    touched: u64,
 }
 
 impl HandleState {
     fn approx_bytes(&self) -> usize {
-        let mates = self.mates.as_ref().map_or(0, |m| 4 * (m.nrows() + m.ncols()));
+        let mates = 4 * (self.mates.nrows() + self.mates.ncols());
         let scaling = self.scaling.as_ref().map_or(0, |(_, s)| {
             8 * (s.dr.len() + s.dc.len() + s.row_sums.len() + s.col_sums.len() + s.history.len())
         });
         // CSR + CSC: two index arrays of nnz u32 entries plus two pointer
         // arrays of (dim + 1) usize entries.
-        let graph =
-            self.graph.as_ref().map_or(0, |g| 8 * g.nnz() + 8 * (g.nrows() + g.ncols() + 2));
+        let g = &self.graph;
+        let graph = 8 * g.nnz() + 8 * (g.nrows() + g.ncols() + 2);
         mates + scaling + graph
     }
 }
 
-/// One handle's reader/writer FIFO. Claims are granted in daemon-wide
-/// submission order: any number of reads share the handle, a write holds
-/// it alone, and no claim is granted past an earlier waiting one — so a
-/// read never overtakes an earlier write, nor a write an earlier read.
-struct HandleQueue<T> {
-    /// Granted read claims.
-    readers: usize,
-    /// A write claim is granted.
-    writer: bool,
-    /// Claims waiting for the handle, in daemon-wide submission order. The
-    /// FIFO spans connections, so a job may start on behalf of a
-    /// different stream than the one whose job let it in.
-    pending: VecDeque<(Mode, T)>,
-}
-
-impl<T> Default for HandleQueue<T> {
-    fn default() -> Self {
-        HandleQueue { readers: 0, writer: false, pending: VecDeque::new() }
-    }
-}
-
-impl<T> HandleQueue<T> {
-    fn fits(&self, mode: Mode) -> bool {
-        !self.writer && (mode == Mode::Read || self.readers == 0)
-    }
-
-    fn grant(&mut self, mode: Mode) {
-        match mode {
-            Mode::Read => self.readers += 1,
-            Mode::Write => self.writer = true,
-        }
-    }
-
-    /// Grant `mode` at once when no claim waits and it fits the granted
-    /// ones (returns true); otherwise queue `waiter` behind the waiting
-    /// claims.
-    fn enter(&mut self, mode: Mode, waiter: T) -> bool {
-        let now = self.pending.is_empty() && self.fits(mode);
-        if now {
-            self.grant(mode);
-        } else {
-            self.pending.push_back((mode, waiter));
-        }
-        now
-    }
-
-    /// Give back a granted claim of `mode`, then grant the longest fitting
-    /// prefix of the waiting claims — all the leading reads, or one write
-    /// — and return their waiters.
-    fn leave(&mut self, mode: Mode) -> Vec<T> {
-        match mode {
-            Mode::Read => self.readers -= 1,
-            Mode::Write => self.writer = false,
-        }
-        let mut granted = Vec::new();
-        while let Some(&(next, _)) = self.pending.front() {
-            if !self.fits(next) {
-                break;
-            }
-            self.grant(next);
-            granted.extend(self.pending.pop_front().map(|(_, waiter)| waiter));
-        }
-        granted
-    }
-
-    fn idle(&self) -> bool {
-        self.readers == 0 && !self.writer && self.pending.is_empty()
-    }
-}
-
-/// One cached instance: its reader/writer FIFO + the cached graph/mates +
-/// LRU bookkeeping.
-#[derive(Default)]
-struct HandleEntry {
-    queue: Mutex<HandleQueue<Arc<Ticket>>>,
-    state: Mutex<HandleState>,
-    bytes: AtomicUsize,
-    touched: AtomicU64,
-}
-
-impl HandleEntry {
-    /// No job holds or awaits this handle, readers included — the one test
-    /// `drop` and eviction both apply. Lock order is cache → queue
-    /// everywhere.
-    fn idle(&self) -> bool {
-        lock(&self.queue).idle()
-    }
-}
-
-/// A handle a job holds or awaits, and how.
-struct Claim {
-    handle: String,
-    entry: Arc<HandleEntry>,
-    mode: Mode,
-}
-
-/// A scheduled worker job: the job, its context, the connection it replies
-/// on, and its handle claims (at most two). It starts once every claim is
-/// granted.
+/// An admitted worker job: the job, its context, the connection it replies
+/// on, and the handles it claims (at most two).
 struct Ticket {
     job: Job,
-    ctx: Arc<JobCtx>,
+    ctx: JobCtx,
     conn: Arc<Conn>,
-    claims: Vec<Claim>,
-    /// Claims not granted yet; changed only under the cache lock.
-    waiting: AtomicUsize,
+    claims: Vec<(String, Mode)>,
 }
 
-impl Ticket {
-    /// The entry of `handle`, when this job claims it.
-    fn entry(&self, handle: &str) -> Option<&HandleEntry> {
-        self.claims.iter().find(|c| c.handle == handle).map(|c| &*c.entry)
-    }
-}
-
-struct Cache {
-    entries: HashMap<String, Arc<HandleEntry>>,
+/// Everything the daemon's one lock guards.
+#[derive(Default)]
+struct Shared {
+    /// Cached instances: a handle has an entry only once a job stored an
+    /// instance under it.
+    handles: HashMap<String, HandleState>,
+    /// The LRU clock, bumped by each claim or store of a cached handle.
     clock: u64,
+    /// Byte budget for `handles`.
     budget: usize,
+    /// Every admitted worker job not yet finished, in submission order, and
+    /// whether it has started.
+    jobs: Vec<(Arc<Ticket>, bool)>,
+    /// Started jobs no pool task has picked up yet, oldest first; see
+    /// [`spawn_tasks`].
+    runnable: VecDeque<Arc<Ticket>>,
 }
 
-impl Cache {
-    fn touch(&mut self, entry: &HandleEntry) {
-        self.clock += 1;
-        entry.touched.store(self.clock, Ordering::Relaxed);
+impl Shared {
+    /// An unfinished job claims `handle`: `drop` and eviction leave it be.
+    fn claimed(&self, handle: &str) -> bool {
+        self.jobs.iter().any(|(ticket, _)| ticket.claims.iter().any(|(h, _)| h == handle))
     }
 
-    fn entry_for(&mut self, handle: &str) -> Arc<HandleEntry> {
-        let entry = Arc::clone(self.entries.entry(handle.to_string()).or_default());
-        self.touch(&entry);
-        entry
+    /// Mark `handle` just used, when it is cached.
+    fn touch(&mut self, handle: &str) {
+        if let Some(state) = self.handles.get_mut(handle) {
+            self.clock += 1;
+            state.touched = self.clock;
+        }
     }
 
-    /// Evict least-recently-touched idle entries until the byte budget
-    /// holds. `protect` (the handle just written) is never evicted, so a
-    /// single oversized instance stays usable for the job that loaded it.
-    fn evict_to_budget(&mut self, protect: &str) {
-        loop {
-            let total: usize = self.entries.values().map(|e| e.bytes.load(Ordering::Relaxed)).sum();
-            if total <= self.budget {
-                return;
+    /// Start every waiting job that no earlier unfinished job conflicts
+    /// with (one claiming the same handle, where either side writes): queue
+    /// it as runnable, and return how many started. Jobs sharing a handle
+    /// so start in submission order, reads of it side by side and writes
+    /// alone; jobs that start together queue oldest first.
+    fn start_ready(&mut self) -> usize {
+        let mut held: HashMap<&str, Mode> = HashMap::new();
+        let mut started = 0;
+        for (ticket, running) in &mut self.jobs {
+            let ticket: &Arc<Ticket> = ticket;
+            let free = ticket.claims.iter().all(|(h, mode)| {
+                held.get(h.as_str())
+                    .is_none_or(|&earlier| earlier == Mode::Read && *mode == Mode::Read)
+            });
+            if free && !*running {
+                *running = true;
+                self.runnable.push_back(Arc::clone(ticket));
+                started += 1;
             }
+            for (h, mode) in &ticket.claims {
+                let earlier = held.entry(h).or_insert(*mode);
+                if *mode == Mode::Write {
+                    *earlier = Mode::Write;
+                }
+            }
+        }
+        started
+    }
+
+    /// The one handle-state write, for `store`-ing solves and deltas
+    /// alike: cache `graph`, `mates` and the scaling memo under `handle`,
+    /// then evict least-recently-touched unclaimed handles until the byte
+    /// budget holds. The storing job claims `handle`, so a single oversized
+    /// instance stays usable for the job that loaded it.
+    fn store(
+        &mut self,
+        handle: &str,
+        graph: Arc<BipartiteGraph>,
+        mates: Matching,
+        scaling: Option<ScalingMemo>,
+    ) {
+        self.clock += 1;
+        let state = HandleState { graph, mates: Arc::new(mates), scaling, touched: self.clock };
+        self.handles.insert(handle.to_string(), state);
+        self.evict_to_budget();
+    }
+
+    fn evict_to_budget(&mut self) {
+        while self.handles.values().map(HandleState::approx_bytes).sum::<usize>() > self.budget {
             let victim = self
-                .entries
+                .handles
                 .iter()
-                .filter(|(name, entry)| name.as_str() != protect && entry.idle())
-                .min_by_key(|(_, entry)| entry.touched.load(Ordering::Relaxed))
-                .map(|(name, _)| name.clone());
-            let Some(name) = victim else { return };
-            self.entries.remove(&name);
+                .filter(|(handle, _)| !self.claimed(handle))
+                .min_by_key(|(_, state)| state.touched)
+                .map(|(handle, _)| handle.clone());
+            let Some(handle) = victim else { return };
+            self.handles.remove(&handle);
+        }
+    }
+
+    /// Detach an unclaimed handle from the cache.
+    fn drop_handle(&mut self, handle: &str) -> Result<(), JobError> {
+        if self.claimed(handle) {
+            Err((code::HANDLE, format!("handle {handle:?} has jobs in flight; retry later")))
+        } else if self.handles.remove(handle).is_some() {
+            Ok(())
+        } else {
+            Err((code::HANDLE, format!("no instance cached under handle {handle:?}")))
         }
     }
 }
@@ -762,10 +729,8 @@ impl Cache {
 /// State shared across every connection of one daemon process.
 struct ServeCore {
     pool: WorkspacePool,
-    cache: Mutex<Cache>,
-    /// Jobs free to start (every claim granted), oldest first; see
-    /// [`start`].
-    runnable: Mutex<VecDeque<Arc<Ticket>>>,
+    /// The instance cache and the job list, under the daemon's one lock.
+    shared: Mutex<Shared>,
     opts: ServeOptions,
     observed_workers: usize,
     shutdown: AtomicBool,
@@ -775,14 +740,10 @@ impl ServeCore {
     fn new(opts: &ServeOptions) -> Self {
         let pool = Workspace::per_worker(opts.threads);
         let observed_workers = pool.run(observed_parallelism);
+        let budget = faults::cache_budget(opts.cache_bytes);
         ServeCore {
             pool,
-            cache: Mutex::new(Cache {
-                entries: HashMap::new(),
-                clock: 0,
-                budget: faults::cache_budget(opts.cache_bytes),
-            }),
-            runnable: Mutex::new(VecDeque::new()),
+            shared: Mutex::new(Shared { budget, ..Shared::default() }),
             opts: opts.clone(),
             observed_workers,
             shutdown: AtomicBool::new(false),
@@ -792,63 +753,6 @@ impl ServeCore {
     /// True when the external stop flag (SIGTERM in the CLI) has flipped.
     fn stop_requested(&self) -> bool {
         self.opts.stop.is_some_and(|s| s.load(Ordering::SeqCst))
-    }
-
-    /// The one handle-state write, for `store`-ing solves and deltas
-    /// alike: cache `graph`, `mates` and the scaling memo under `handle`,
-    /// then evict idle handles down to the budget (never `handle` itself).
-    fn store(
-        &self,
-        handle: &str,
-        graph: Arc<BipartiteGraph>,
-        mates: Matching,
-        scaling: Option<ScalingMemo>,
-    ) {
-        let entry = lock(&self.cache).entry_for(handle);
-        {
-            let mut state = lock(&entry.state);
-            *state = HandleState { graph: Some(graph), mates: Some(mates), scaling };
-            entry.bytes.store(state.approx_bytes(), Ordering::Relaxed);
-        }
-        lock(&self.cache).evict_to_budget(handle);
-    }
-
-    /// Detach an idle handle from the cache.
-    fn drop_handle(&self, handle: &str) -> Result<(), JobError> {
-        let mut cache = lock(&self.cache);
-        match cache.entries.get(handle).map(|entry| entry.idle()) {
-            None => Err((code::HANDLE, format!("no instance cached under handle {handle:?}"))),
-            Some(false) => {
-                Err((code::HANDLE, format!("handle {handle:?} has jobs in flight; retry later")))
-            }
-            Some(true) => {
-                cache.entries.remove(handle);
-                Ok(())
-            }
-        }
-    }
-
-    /// A job finished: give back its `claims`, and return the jobs whose
-    /// last claim that granted. A handle left idle is forgotten if no job
-    /// ever stored an instance under it. Runs under the cache lock, like
-    /// [`schedule`]'s FIFO insertion, so no claim can join an entry while
-    /// it is removed (lock order: cache, queue, then state, which no
-    /// holder ever extends).
-    fn release(&self, claims: &[Claim]) -> Vec<Arc<Ticket>> {
-        let mut cache = lock(&self.cache);
-        let mut ready = Vec::new();
-        for claim in claims {
-            let mut q = lock(&claim.entry.queue);
-            for next in q.leave(claim.mode) {
-                if next.waiting.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    ready.push(next);
-                }
-            }
-            if q.idle() && lock(&claim.entry.state).graph.is_none() {
-                cache.entries.remove(&claim.handle);
-            }
-        }
-        ready
     }
 }
 
@@ -886,12 +790,6 @@ struct Conn {
     errors: AtomicUsize,
     /// This connection processed a `shutdown` op.
     shutdown: AtomicBool,
-    /// Contexts (cancel tokens) of this connection's in-flight worker
-    /// jobs, keyed by the job id's JSON rendering: inserted at
-    /// submission, removed by their own job before its reply is enqueued,
-    /// cancelled by the inline `cancel` op. A reused id overwrites — a
-    /// `cancel` always targets the newest job with that id.
-    cancels: Mutex<HashMap<String, Arc<JobCtx>>>,
 }
 
 impl Conn {
@@ -924,7 +822,7 @@ impl Conn {
 
 /// The connection loop's exclusively-owned output stream. A failed write
 /// (client gone) latches `broken`: later writes become no-ops while the
-/// drain machinery keeps handle queues and counters consistent.
+/// drain machinery keeps the job list and counters consistent.
 struct LineWriter<W: Write> {
     out: W,
     broken: bool,
@@ -1049,14 +947,13 @@ fn build_inline(
 // Job execution (on pool workers)
 // ---------------------------------------------------------------------------
 
-/// Run a solve. `source` is the claimed entry of a `{"handle":…}`
-/// instance, `None` when the handle had none at submission.
+/// Run a solve that claimed the handles `claims` at submission.
 fn execute_solve(
     core: &ServeCore,
     id: &Json,
     job: &SolveJob,
     ctx: &JobCtx,
-    source: Option<&HandleEntry>,
+    claims: &[(String, Mode)],
 ) -> Result<Json, JobError> {
     let (graph, memo): (Arc<BipartiteGraph>, Option<ScalingMemo>) = match &job.instance {
         InstanceRef::Gen(spec) => {
@@ -1066,13 +963,14 @@ fn execute_solve(
             (Arc::new(build_inline(*nrows, *ncols, edges)?), None)
         }
         InstanceRef::Handle(h) => {
-            let entry = source
-                .ok_or_else(|| (code::HANDLE, format!("no instance cached under handle {h:?}")))?;
-            let state = lock(&entry.state);
-            let graph = state.graph.clone().ok_or_else(|| {
+            if !claims.iter().any(|(claimed, _)| claimed == h) {
+                return Err((code::HANDLE, format!("no instance cached under handle {h:?}")));
+            }
+            let cached = lock(&core.shared).handles.get(h).cloned();
+            let state = cached.ok_or_else(|| {
                 (code::HANDLE, format!("handle {h:?} exists but has no cached instance yet"))
             })?;
-            (graph, state.scaling.clone())
+            (state.graph, state.scaling)
         }
     };
 
@@ -1092,7 +990,8 @@ fn execute_solve(
     let Ok((mut report, kept)) = outcome else { return Err(ctx.deadline_error()) };
     check_report(&mut report, &graph, ctx, job.quality)?;
     if let Some(handle) = &job.store {
-        core.store(handle, Arc::clone(&graph), report.matching.clone(), stage.zip(hit.or(kept)));
+        let mates = report.matching.clone();
+        lock(&core.shared).store(handle, Arc::clone(&graph), mates, stage.zip(hit.or(kept)));
     }
 
     let mut fields =
@@ -1113,13 +1012,9 @@ fn execute_delta(
     id: &Json,
     job: &DeltaJob,
     ctx: &JobCtx,
-    entry: Option<&HandleEntry>,
 ) -> Result<Json, JobError> {
-    let (graph, cached_mates) = entry.map_or((None, None), |entry| {
-        let state = lock(&entry.state);
-        (state.graph.clone(), state.mates.clone())
-    });
-    let graph = graph.ok_or_else(|| {
+    let cached = lock(&core.shared).handles.get(&job.handle).cloned();
+    let HandleState { graph, mates, .. } = cached.ok_or_else(|| {
         (code::HANDLE, format!("no instance cached under handle {:?}", job.handle))
     })?;
     let (nrows, ncols) = (graph.nrows(), graph.ncols());
@@ -1138,19 +1033,16 @@ fn execute_delta(
     // Warm start: the cached mates, minus pairs whose edge was removed —
     // still a valid matching of the mutated graph, so the finisher only
     // re-augments what the delta actually broke.
-    let warm = cached_mates.is_some();
-    let initial = cached_mates.map(|m| {
-        let mut rmate = m.rmates().to_vec();
-        let mut cmate = m.cmates().to_vec();
-        for i in 0..rmate.len() {
-            let j = rmate[i];
-            if j != NIL && !mutated.csr().contains(i, j as usize) {
-                cmate[j as usize] = NIL;
-                rmate[i] = NIL;
-            }
+    let mut rmate = mates.rmates().to_vec();
+    let mut cmate = mates.cmates().to_vec();
+    for i in 0..rmate.len() {
+        let j = rmate[i];
+        if j != NIL && !mutated.csr().contains(i, j as usize) {
+            cmate[j as usize] = NIL;
+            rmate[i] = NIL;
         }
-        Matching::from_mates(rmate, cmate)
-    });
+    }
+    let initial = Some(Matching::from_mates(rmate, cmate));
 
     let finished = timed_stage(format!("delta:{}", job.finisher), || {
         core.pool.with_workspace(|ws| {
@@ -1164,11 +1056,12 @@ fn execute_delta(
     };
     let mut report = SolveReport::new(matching, vec![stage]);
     check_report(&mut report, &mutated, ctx, job.quality)?;
-    core.store(&job.handle, Arc::new(mutated), report.matching.clone(), None);
+    let mates = report.matching.clone();
+    lock(&core.shared).store(&job.handle, Arc::new(mutated), mates, None);
 
     let fields = vec![
         ("handle", Json::from(job.handle.as_str())),
-        ("warm", Json::Bool(warm)),
+        ("warm", Json::Bool(true)),
         ("added", Json::from(job.add.len())),
         ("removed", Json::from(job.remove.len())),
     ];
@@ -1176,7 +1069,7 @@ fn execute_delta(
 }
 
 fn execute(ticket: &Ticket) -> Result<Json, JobError> {
-    let Ticket { job, ctx, conn, .. } = ticket;
+    let Ticket { job, ctx, conn, claims } = ticket;
     // A deadline that expired while the job sat in a queue cancels it
     // before any work starts — even for pipelines whose stages have no
     // cooperative checkpoints of their own.
@@ -1184,14 +1077,8 @@ fn execute(ticket: &Ticket) -> Result<Json, JobError> {
         return Err(ctx.deadline_error());
     }
     match &job.op {
-        Op::Solve(sj) => {
-            let source = match &sj.instance {
-                InstanceRef::Handle(h) => ticket.entry(h),
-                _ => None,
-            };
-            execute_solve(&conn.core, &job.id, sj, ctx, source)
-        }
-        Op::Delta(dj) => execute_delta(&conn.core, &job.id, dj, ctx, ticket.entry(&dj.handle)),
+        Op::Solve(sj) => execute_solve(&conn.core, &job.id, sj, ctx, claims),
+        Op::Delta(dj) => execute_delta(&conn.core, &job.id, dj, ctx),
         Op::Sleep { ms } => {
             let total = Duration::from_millis((*ms).min(60_000));
             let t0 = Instant::now();
@@ -1212,13 +1099,12 @@ fn execute(ticket: &Ticket) -> Result<Json, JobError> {
     }
 }
 
-/// Run one scheduled job on a worker: execute (panic-safe), release its
-/// handle claims and start the jobs they let in, then enqueue the reply
-/// and release the admission slot — in that order, so a drain that
-/// observes zero in-flight jobs knows every reply is already in the
-/// channel.
+/// Run one scheduled job on a worker: execute (panic-safe), leave the job
+/// list and start the jobs it held back, then enqueue the reply and
+/// release the admission slot — in that order, so a drain that observes
+/// zero in-flight jobs knows every reply is already in the channel.
 fn run_job<'s>(scope: &rayon::Scope<'s>, ticket: Arc<Ticket>) {
-    let Ticket { job, ctx, conn, claims, .. } = &*ticket;
+    let Ticket { job, ctx, conn, .. } = &*ticket;
     faults::stall_if_due("start", ctx.ord);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         faults::panic_if_due(ctx.ord);
@@ -1240,32 +1126,24 @@ fn run_job<'s>(scope: &rayon::Scope<'s>, ticket: Arc<Ticket>) {
         }
         Err(payload) => error_doc(&job.id, (code::INTERNAL, panic_message(payload)), Vec::new()),
     };
-    // Release the claims (and start the jobs they let in) *before* the
-    // reply goes out: a client that reacts to the reply instantly — e.g.
-    // with a `drop` — must observe the handle idle, not racily busy.
-    for next in conn.core.release(claims) {
-        // A successor may belong to a different connection: its owner's
-        // drain tracks it through the owner's in-flight counter.
-        start(scope, next);
-    }
-    // Deregister before the reply goes out: a client reacting to the reply
-    // with a `cancel` of the same id must get a clean "no such job". Only
-    // this job's own token goes — a reused id belongs to its newest job.
-    {
-        let mut cancels = lock(&conn.cancels);
-        let key = job.id.to_string();
-        if cancels.get(&key).is_some_and(|registered| Arc::ptr_eq(registered, ctx)) {
-            cancels.remove(&key);
-        }
-    }
+    // Leave the job list *before* the reply goes out: a client that reacts
+    // to the reply instantly must find the handle free for a `drop`, and
+    // the id gone for a `cancel` ("no in-flight job").
+    let started = {
+        let mut shared = lock(&conn.core.shared);
+        shared.jobs.retain(|(listed, _)| !Arc::ptr_eq(listed, &ticket));
+        shared.start_ready()
+    };
+    // A started job may belong to a different connection: its owner's
+    // drain tracks it through the owner's in-flight counter.
+    spawn_tasks(scope, &conn.core, started);
     let _ = conn.tx.send(Event::Reply(conn.render(reply)));
     conn.in_flight.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Admit + schedule one worker-bound job: direct spawn when it touches no
-/// handle, the reader/writer FIFO of each handle it claims when it does.
-/// The job's deadline is armed here, at submission — queue wait counts
-/// against the budget.
+/// Admit one worker-bound job and add it to the job list, which starts it
+/// once no earlier job it conflicts with is unfinished. The job's deadline
+/// is armed here, at submission — queue wait counts against the budget.
 fn schedule<'s>(conn: &Arc<Conn>, scope: &rayon::Scope<'s>, job: Job) -> Result<(), JobError> {
     if !conn.admit() {
         let message = format!(
@@ -1281,61 +1159,45 @@ fn schedule<'s>(conn: &Arc<Conn>, scope: &rayon::Scope<'s>, job: Job) -> Result<
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
         None => CancelToken::unbounded(),
     };
-    let ctx = Arc::new(JobCtx { token, deadline_ms, ord: faults::next_job() });
-    // Register for client-initiated `cancel` before the job can run:
-    // queued jobs (per-handle FIFO) are cancellable while they wait.
-    lock(&conn.cancels).insert(job.id.to_string(), Arc::clone(&ctx));
-    // Every claim joins its FIFO in one step under the cache lock (lock
-    // order: cache, then queue): all FIFOs then share one daemon-wide
-    // submission order, so a job waiting on two handles cannot deadlock,
-    // and a finishing job cannot remove an entry meanwhile.
-    let mut cache = lock(&conn.core.cache);
+    let ctx = JobCtx { token, deadline_ms, ord: faults::next_job() };
+    let mut shared = lock(&conn.core.shared);
     let mut claims = Vec::new();
     for (k, (handle, mode)) in job.claims().into_iter().enumerate() {
-        let entry = if k == 0 {
-            cache.entry_for(handle)
-        } else {
-            // A store's separate source joins only an existing entry: with
-            // none, no job holds or awaits it, so it holds no instance for
-            // this job whatever later jobs store.
-            let Some(entry) = cache.entries.get(handle).cloned() else { continue };
-            cache.touch(&entry);
-            entry
-        };
-        claims.push(Claim { handle: handle.to_string(), entry, mode });
-    }
-    let ticket =
-        Arc::new(Ticket { job, ctx, conn: Arc::clone(conn), claims, waiting: AtomicUsize::new(0) });
-    for claim in &ticket.claims {
-        if !lock(&claim.entry.queue).enter(claim.mode, Arc::clone(&ticket)) {
-            ticket.waiting.fetch_add(1, Ordering::SeqCst);
+        // A store's separate source is claimed only when it is cached or
+        // claimed: otherwise no job holds or awaits it, so it holds no
+        // instance for this job whatever later jobs store.
+        if k == 0 || shared.handles.contains_key(handle) || shared.claimed(handle) {
+            shared.touch(handle);
+            claims.push((handle.to_string(), mode));
         }
     }
-    let ready = ticket.waiting.load(Ordering::SeqCst) == 0;
-    drop(cache);
-    if ready {
-        start(scope, ticket);
-    }
+    let ticket = Ticket { job, ctx, conn: Arc::clone(conn), claims };
+    shared.jobs.push((Arc::new(ticket), false));
+    let started = shared.start_ready();
+    drop(shared);
+    spawn_tasks(scope, &conn.core, started);
     Ok(())
 }
 
-/// Queue a job whose claims are all granted, and spawn one pool task for
-/// it. Every task runs the *oldest* queued job, not its own: tasks are
+/// Spawn one pool task per job that [`Shared::start_ready`] queued. Every
+/// task runs the *oldest* queued job, not its own: tasks are
 /// interchangeable, so jobs start in the order they became runnable
 /// whatever order the pool's deques run the tasks in (a worker pops its
 /// own deque newest-first). A task may so run another connection's job;
 /// `scope` is the daemon-wide one (see [`serve_stream`]), which no
-/// session waits on.
-fn start<'s>(scope: &rayon::Scope<'s>, ticket: Arc<Ticket>) {
-    let core = Arc::clone(&ticket.conn.core);
-    lock(&core.runnable).push_back(ticket);
-    scope.spawn(move |s| {
-        // One task per queued job, each popping once: never empty here.
-        let oldest = lock(&core.runnable).pop_front();
-        if let Some(ticket) = oldest {
-            run_job(s, ticket);
-        }
-    });
+/// session waits on. Never called under the lock, which the tasks take:
+/// a scope without workers runs a task inline.
+fn spawn_tasks<'s>(scope: &rayon::Scope<'s>, core: &Arc<ServeCore>, count: usize) {
+    for _ in 0..count {
+        let core = Arc::clone(core);
+        scope.spawn(move |s| {
+            // One task per queued job, each popping once: never empty here.
+            let oldest = lock(&core.shared).runnable.pop_front();
+            if let Some(ticket) = oldest {
+                run_job(s, ticket);
+            }
+        });
+    }
 }
 
 /// Process one input line: answer inline ops at once and hand
@@ -1366,16 +1228,22 @@ fn handle_line<'s>(conn: &Arc<Conn>, scope: &rayon::Scope<'s>, text: &str) -> Op
             Ok(Some(ok_doc(id, "shutdown", Vec::new())))
         }
         Op::Drop { handle } => {
-            conn.core.drop_handle(handle)?;
+            lock(&conn.core.shared).drop_handle(handle)?;
             Ok(Some(ok_doc(id, "drop", vec![("handle", Json::from(handle.as_str()))])))
         }
-        Op::Cancel { job: target } => match lock(&conn.cancels).get(&target.to_string()) {
-            Some(ctx) => {
-                ctx.token.cancel();
-                Ok(Some(ok_doc(id, "cancel", vec![("job", target.clone())])))
+        Op::Cancel { job: target } => {
+            // The newest unfinished job of this connection with that id.
+            let key = target.to_string();
+            let shared = lock(&conn.core.shared);
+            let mut jobs = shared.jobs.iter().rev().map(|(ticket, _)| ticket);
+            match jobs.find(|t| Arc::ptr_eq(&t.conn, conn) && t.job.id.to_string() == key) {
+                Some(ticket) => {
+                    ticket.ctx.token.cancel();
+                    Ok(Some(ok_doc(id, "cancel", vec![("job", target.clone())])))
+                }
+                None => Err((code::JOB, format!("no in-flight job {target} on this connection"))),
             }
-            None => Err((code::JOB, format!("no in-flight job {target} on this connection"))),
-        },
+        }
         Op::Solve(_) | Op::Delta(_) | Op::Sleep { .. } => schedule(conn, scope, job).map(|()| None),
     });
     reply.unwrap_or_else(|error| Some(error_doc(id, error, Vec::new())))
@@ -1486,7 +1354,7 @@ fn read_line_capped<R: BufRead>(input: &mut R, cap: usize) -> std::io::Result<Ev
 /// Serve one connection until it has drained. Its jobs run as tasks of
 /// `jobs`, the daemon-wide scope that every connection spawns into and
 /// only the daemon's exit joins: a task can run any connection's job (see
-/// [`start`]), so a per-connection scope would hold a hung-up session
+/// [`spawn_tasks`]), so a per-connection scope would hold a hung-up session
 /// open until another client's job ends.
 fn serve_stream<'s, R, W>(
     core: &Arc<ServeCore>,
@@ -1507,7 +1375,6 @@ where
         ok: AtomicUsize::new(0),
         errors: AtomicUsize::new(0),
         shutdown: AtomicBool::new(false),
-        cancels: Mutex::new(HashMap::new()),
     });
     let mut out = LineWriter { out: output, broken: false };
     out.event(&Json::obj(vec![
@@ -1737,65 +1604,129 @@ mod tests {
         assert_eq!(code_of(5), "spec", "non-exact finisher");
     }
 
-    #[test]
-    fn cache_evicts_lru_idle_entries_but_never_the_protected_one() {
-        let mut cache = Cache { entries: HashMap::new(), clock: 0, budget: 100 };
-        for name in ["a", "b", "c"] {
-            let entry = cache.entry_for(name);
-            entry.bytes.store(60, Ordering::Relaxed);
-        }
-        // Budget 100, total 180: evict the two least-recently-touched.
-        cache.evict_to_budget("c");
-        assert!(!cache.entries.contains_key("a"));
-        assert!(!cache.entries.contains_key("b"));
-        assert!(cache.entries.contains_key("c"), "the just-written handle survives");
-
-        // Held entries are pinned even when oldest: by a writer, or by
-        // readers alone.
-        let busy = cache.entry_for("busy");
-        busy.bytes.store(60, Ordering::Relaxed);
-        busy.queue.lock().unwrap().writer = true;
-        let read = cache.entry_for("read");
-        read.bytes.store(60, Ordering::Relaxed);
-        read.queue.lock().unwrap().readers = 1;
-        let idle = cache.entry_for("idle");
-        idle.bytes.store(60, Ordering::Relaxed);
-        cache.evict_to_budget("idle");
-        assert!(cache.entries.contains_key("busy"));
-        assert!(cache.entries.contains_key("read"), "a handle only readers hold survives");
-        assert!(cache.entries.contains_key("idle"));
-        assert!(!cache.entries.contains_key("c"), "the idle LRU entry went instead");
+    /// A job `id` claiming `claims`, on a connection of its own to `core`.
+    fn ticket(core: &Arc<ServeCore>, id: &str, claims: &[(&str, Mode)]) -> Arc<Ticket> {
+        let (tx, _) = mpsc::sync_channel(1);
+        let conn = Arc::new(Conn {
+            core: Arc::clone(core),
+            tx,
+            in_flight: AtomicUsize::new(0),
+            jobs: AtomicUsize::new(0),
+            ok: AtomicUsize::new(0),
+            errors: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+        });
+        let job = Job { id: Json::from(id), op: Op::Sleep { ms: 0 }, deadline_ms: None };
+        let ctx = JobCtx { token: CancelToken::unbounded(), deadline_ms: None, ord: 0 };
+        let claims = claims.iter().map(|&(handle, mode)| (handle.to_string(), mode)).collect();
+        Arc::new(Ticket { job, ctx, conn, claims })
     }
 
+    /// Eviction takes least-recently-touched unclaimed handles until the
+    /// budget holds, and never a claimed one: held by a writer (the store
+    /// that just wrote it, say), or by readers alone.
     #[test]
-    fn handle_queue_grants_leading_reads_together_and_writes_alone_in_order() {
-        let mut q = HandleQueue::default();
-        assert!(q.enter(Mode::Read, "r0") && q.enter(Mode::Read, "r0'"), "reads share");
-        assert!(!q.enter(Mode::Write, "w0"), "a write waits for running reads");
-        assert!(!q.enter(Mode::Read, "r0''"), "a read waits behind a waiting write");
-        assert!(q.leave(Mode::Read).is_empty());
-        assert_eq!(q.leave(Mode::Read), ["w0"]);
-        assert_eq!(q.leave(Mode::Write), ["r0''"]);
-        assert!(q.leave(Mode::Read).is_empty() && q.idle());
+    fn eviction_takes_lru_unclaimed_handles_but_never_a_claimed_one() {
+        let core = Arc::new(ServeCore::new(&opts(1)));
+        let graph = Arc::new(parse_gen_spec("er:20:2").unwrap());
+        let mates = Arc::new(Matching::new(20, 20));
+        let state = HandleState { graph, mates, scaling: None, touched: 0 };
+        // Room for one handle.
+        let mut shared = Shared { budget: state.approx_bytes() * 3 / 2, ..Shared::default() };
+        let put = |shared: &mut Shared, handle: &str| {
+            shared.clock += 1;
+            let touched = shared.clock;
+            shared.handles.insert(handle.to_string(), HandleState { touched, ..state.clone() });
+        };
+        let claim = |shared: &mut Shared, handle: &str, mode: Mode| {
+            shared.jobs.push((ticket(&core, handle, &[(handle, mode)]), true));
+        };
+        let cached = |shared: &Shared| {
+            let mut handles: Vec<String> = shared.handles.keys().cloned().collect();
+            handles.sort();
+            handles
+        };
+
+        for handle in ["a", "b", "c"] {
+            put(&mut shared, handle);
+        }
+        claim(&mut shared, "c", Mode::Write);
+        shared.evict_to_budget();
+        assert_eq!(cached(&shared), ["c"], "the two least recently touched go");
+        shared.jobs.clear();
+
+        for handle in ["busy", "read", "new"] {
+            put(&mut shared, handle);
+        }
+        claim(&mut shared, "busy", Mode::Write);
+        claim(&mut shared, "read", Mode::Read);
+        claim(&mut shared, "new", Mode::Write);
+        shared.evict_to_budget();
+        assert_eq!(cached(&shared), ["busy", "new", "read"], "the unclaimed LRU c went instead");
+    }
+
+    /// A read/write claim of the one handle `h` per job: jobs start in
+    /// submission order, leading reads together and writes alone.
+    #[test]
+    fn job_list_starts_leading_reads_together_and_writes_alone_in_order() {
+        let core = Arc::new(ServeCore::new(&opts(1)));
+        let mut shared = Shared::default();
+        let submit = |shared: &mut Shared, id: &str, mode: Mode| {
+            let job = ticket(&core, id, &[("h", mode)]);
+            shared.jobs.push((Arc::clone(&job), false));
+            shared.start_ready();
+            job
+        };
+        let finish = |shared: &mut Shared, job: &Arc<Ticket>| {
+            shared.jobs.retain(|(listed, _)| !Arc::ptr_eq(listed, job));
+            shared.start_ready();
+        };
+        // The ids of the jobs started since the last call, in start order.
+        let started = |shared: &mut Shared| -> Vec<String> {
+            shared.runnable.drain(..).map(|t| t.job.id.as_str().unwrap().to_string()).collect()
+        };
+
+        let r0 = submit(&mut shared, "r0", Mode::Read);
+        let r1 = submit(&mut shared, "r1", Mode::Read);
+        assert_eq!(started(&mut shared), ["r0", "r1"], "reads share");
+        let w0 = submit(&mut shared, "w0", Mode::Write);
+        let r2 = submit(&mut shared, "r2", Mode::Read);
+        assert!(
+            started(&mut shared).is_empty(),
+            "a write waits for running reads, a read behind it"
+        );
+        finish(&mut shared, &r0);
+        assert!(started(&mut shared).is_empty());
+        finish(&mut shared, &r1);
+        assert_eq!(started(&mut shared), ["w0"]);
+        finish(&mut shared, &w0);
+        assert_eq!(started(&mut shared), ["r2"]);
+        finish(&mut shared, &r2);
+        assert!(shared.jobs.is_empty());
 
         // Pending R R W R R behind a running write.
-        assert!(q.enter(Mode::Write, "load"));
-        for (mode, waiter) in [
-            (Mode::Read, "r1"),
-            (Mode::Read, "r2"),
-            (Mode::Write, "w"),
-            (Mode::Read, "r3"),
-            (Mode::Read, "r4"),
-        ] {
-            assert!(!q.enter(mode, waiter), "{waiter} waits behind the running write");
-        }
-        assert_eq!(q.leave(Mode::Write), ["r1", "r2"], "the leading reads start together");
-        assert!(q.leave(Mode::Read).is_empty(), "w waits for both reads");
-        assert_eq!(q.leave(Mode::Read), ["w"]);
-        assert_eq!(q.leave(Mode::Write), ["r3", "r4"], "the last reads start after w");
-        assert!(!q.idle());
-        assert!(q.leave(Mode::Read).is_empty() && q.leave(Mode::Read).is_empty());
-        assert!(q.idle());
+        let load = submit(&mut shared, "load", Mode::Write);
+        assert_eq!(started(&mut shared), ["load"]);
+        let pending = [
+            ("r3", Mode::Read),
+            ("r4", Mode::Read),
+            ("w", Mode::Write),
+            ("r5", Mode::Read),
+            ("r6", Mode::Read),
+        ]
+        .map(|(id, mode)| submit(&mut shared, id, mode));
+        assert!(started(&mut shared).is_empty(), "all wait behind the running write");
+        finish(&mut shared, &load);
+        assert_eq!(started(&mut shared), ["r3", "r4"], "the leading reads start together");
+        finish(&mut shared, &pending[0]);
+        assert!(started(&mut shared).is_empty(), "w waits for both reads");
+        finish(&mut shared, &pending[1]);
+        assert_eq!(started(&mut shared), ["w"]);
+        finish(&mut shared, &pending[2]);
+        assert_eq!(started(&mut shared), ["r5", "r6"], "the last reads start after w");
+        finish(&mut shared, &pending[3]);
+        finish(&mut shared, &pending[4]);
+        assert!(shared.jobs.is_empty() && started(&mut shared).is_empty());
     }
 
     /// Run `input` as one session on `core`, whose cache outlives it, and
@@ -1809,12 +1740,12 @@ mod tests {
         String::from_utf8(out).unwrap().lines().map(|l| parse_json(l).unwrap()).collect()
     }
 
-    fn entry(core: &ServeCore, handle: &str) -> Arc<HandleEntry> {
-        lock(&core.cache).entries.get(handle).cloned().expect("a cached handle")
+    fn cached(core: &ServeCore, handle: &str) -> HandleState {
+        lock(&core.shared).handles.get(handle).cloned().expect("a cached handle")
     }
 
     fn memo(core: &ServeCore, handle: &str) -> Option<ScalingMemo> {
-        lock(&entry(core, handle).state).scaling.clone()
+        cached(core, handle).scaling
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -1828,12 +1759,10 @@ mod tests {
             &core,
             "{\"id\":1,\"pipeline\":\"scale:sk:5,two,pr\",\"instance\":\"gen:er:300:4:2\",\"store\":\"h\"}\n",
         );
-        let h = entry(&core, "h");
-        let state = lock(&h.state);
-        let graph = state.graph.clone().expect("a stored instance");
+        let state = cached(&core, "h");
         let (stage, memo_h) = state.scaling.clone().expect("the store filled the memo");
         assert_eq!(stage.label(), "scale:sk:5");
-        let fresh = dsmatch_scale::sinkhorn_knopp(&graph, &stage.config);
+        let fresh = dsmatch_scale::sinkhorn_knopp(&state.graph, &stage.config);
         assert_eq!(bits(&memo_h.dr), bits(&fresh.dr));
         assert_eq!(bits(&memo_h.dc), bits(&fresh.dc));
         assert_eq!(bits(&memo_h.row_sums), bits(&fresh.row_sums));
@@ -1841,12 +1770,8 @@ mod tests {
         assert_eq!(bits(&memo_h.history), bits(&fresh.history));
         assert_eq!((memo_h.iterations, memo_h.error.to_bits()), (5, fresh.error.to_bits()));
         let memo_bytes = 8 * (2 * 300 + 2 * 300 + 5);
-        let bytes = h.bytes.load(Ordering::Relaxed);
-        assert_eq!(bytes, state.approx_bytes());
-        let unscaled =
-            HandleState { graph: state.graph.clone(), mates: state.mates.clone(), scaling: None };
-        assert_eq!(bytes, unscaled.approx_bytes() + memo_bytes);
-        drop(state);
+        let unscaled = HandleState { scaling: None, ..state.clone() };
+        assert_eq!(state.approx_bytes(), unscaled.approx_bytes() + memo_bytes);
 
         // Reads keep the memo: a hit, another stage and a `dm,` job leave
         // the same scaling in place. A store of the same instance under
@@ -1886,13 +1811,13 @@ mod tests {
             &core,
             &format!("{{\"id\":1,\"pipeline\":\"scale:sk:5,two\",{gen},\"store\":\"h\"}}\n"),
         );
-        let h = entry(&core, "h");
         {
-            let mut state = lock(&h.state);
-            let graph = state.graph.clone().expect("a stored instance");
+            let mut shared = lock(&core.shared);
+            let state = shared.handles.get_mut("h").expect("a cached handle");
             let (stage, _) = state.scaling.clone().expect("the store filled the memo");
             let config = dsmatch_scale::ScalingConfig { max_iterations: 1, ..stage.config };
-            state.scaling = Some((stage, Arc::new(dsmatch_scale::sinkhorn_knopp(&graph, &config))));
+            let planted = dsmatch_scale::sinkhorn_knopp(&state.graph, &config);
+            state.scaling = Some((stage, Arc::new(planted)));
         }
         let read = |pipeline: &str, instance: &str| {
             let job = format!(
@@ -1923,14 +1848,14 @@ mod tests {
         let Op::Solve(sj) = &job.op else { panic!("a solve job") };
         let cancelled = JobCtx { token: CancelToken::unbounded(), deadline_ms: None, ord: 0 };
         cancelled.token.cancel();
-        let (code, _) = execute_solve(&core, &id, sj, &cancelled, None).unwrap_err();
+        let (code, _) = execute_solve(&core, &id, sj, &cancelled, &[]).unwrap_err();
         assert_eq!(code, code::DEADLINE);
         let (stage, after) = memo(&core, "h").expect("still memoized");
         assert_eq!(stage.label(), "scale:sk:5");
         assert!(Arc::ptr_eq(&after, &before), "a cancelled store replaces nothing");
 
         let ctx = JobCtx { token: CancelToken::unbounded(), deadline_ms: None, ord: 0 };
-        execute_solve(&core, &id, sj, &ctx, None).unwrap();
+        execute_solve(&core, &id, sj, &ctx, &[]).unwrap();
         let (stage, _) = memo(&core, "h").expect("memoized");
         assert_eq!(stage.label(), "scale:sk:3", "the same store uncancelled replaces it");
     }
@@ -1975,8 +1900,8 @@ mod tests {
 
     #[test]
     fn client_cancel_cuts_job_short_and_daemon_keeps_serving() {
-        // The cancel token is registered at submission, so the inline
-        // `cancel` op lands even if the worker has not started the sleep.
+        // The job is listed at submission, so the inline `cancel` op lands
+        // even if the worker has not started the sleep.
         let input = concat!(
             "{\"id\":\"slow\",\"op\":\"sleep\",\"ms\":5000}\n",
             "{\"id\":\"c\",\"op\":\"cancel\",\"job\":\"slow\"}\n",

@@ -241,6 +241,39 @@ fn a_store_from_another_handle_waits_for_earlier_writes_to_its_source() {
     }
 }
 
+/// A job waiting for its handle can be cancelled: behind a store of `h`
+/// that stalls 400 ms at its start, a read of `h` is cancelled while it
+/// waits, answers the client-cancel error naming `h` once the store is
+/// done, and the next read of `h` sees the stored instance.
+#[test]
+fn a_job_waiting_for_its_handle_can_be_cancelled() {
+    let jobs = [
+        "{\"id\":\"load\",\"pipeline\":\"two\",\"instance\":\"gen:er:300:4:1\",\"store\":\"h\"}",
+        "{\"id\":\"wait\",\"pipeline\":\"two\",\"instance\":{\"handle\":\"h\"}}",
+        "{\"id\":\"c\",\"op\":\"cancel\",\"job\":\"wait\"}",
+        "{\"id\":\"next\",\"pipeline\":\"two\",\"instance\":{\"handle\":\"h\"}}",
+    ];
+    let lines = run_batch(
+        &["--threads", "2"],
+        Some("stall:stage=start:job=1:ms=400"),
+        &(jobs.join("\n") + "\n"),
+    );
+
+    assert_eq!(
+        line_for(&lines, "c"),
+        "{\"id\":\"c\",\"ok\":true,\"op\":\"cancel\",\"job\":\"wait\"}"
+    );
+    assert_eq!(
+        line_for(&lines, "wait"),
+        "{\"id\":\"wait\",\"ok\":false,\"code\":\"deadline\",\"error\":\"job cancelled by client request\",\"cancelled\":true,\"deadline_ms\":null,\"handle\":\"h\"}"
+    );
+    for id in ["load", "next"] {
+        assert!(line_for(&lines, id).contains("\"ok\":true"), "{}", lines.join("\n"));
+    }
+    let order = reply_order(&lines, &["c", "load", "wait", "next"]);
+    assert_eq!(order[..2], ["c", "load"], "{}", lines.join("\n"));
+}
+
 // ---------------------------------------------------------------------------
 // Socket-mode chaos (concurrent clients, signals, stale sockets)
 // ---------------------------------------------------------------------------
@@ -368,6 +401,71 @@ mod socket {
         let mut closer = Client::ready(&path);
         let bye = closer.round_trip("{\"id\":\"bye\",\"op\":\"shutdown\"}", "bye");
         assert!(bye.contains("\"ok\":true"), "{bye}");
+        assert!(child.wait().expect("waiting for daemon").success());
+    }
+
+    /// `drop` refuses a handle an unfinished job claims — a store writing
+    /// it, or reads alone — and succeeds once that job has replied. Jobs 1
+    /// (the first store) and 3 (a read) stall 400 ms at their start.
+    #[test]
+    fn drop_waits_for_the_jobs_that_claim_the_handle() {
+        let path = socket_path("drop-busy");
+        let faults = "stall:stage=start:job=1:ms=400,stall:stage=start:job=3:ms=400";
+        let mut child = spawn_daemon(&path, &["--threads", "2"], Some(faults));
+        let mut c = Client::ready(&path);
+        let store =
+            "{\"id\":\"s\",\"pipeline\":\"two\",\"instance\":\"gen:er:200:3\",\"store\":\"h\"}";
+        let read = "{\"id\":\"r\",\"pipeline\":\"two\",\"instance\":{\"handle\":\"h\"}}";
+        let drop_h = "{\"id\":\"d\",\"op\":\"drop\",\"handle\":\"h\"}";
+        let busy = "{\"id\":\"d\",\"ok\":false,\"code\":\"handle\",\"error\":\"handle \\\"h\\\" has jobs in flight; retry later\"}";
+        let dropped = "{\"id\":\"d\",\"ok\":true,\"op\":\"drop\",\"handle\":\"h\"}";
+
+        c.send(store);
+        assert_eq!(c.round_trip(drop_h, "d"), busy, "held by its writer");
+        let stored = c.next();
+        assert!(stored.contains("\"id\":\"s\"") && stored.contains("\"ok\":true"), "{stored}");
+        assert_eq!(c.round_trip(drop_h, "d"), dropped);
+
+        assert!(c.round_trip(store, "s").contains("\"ok\":true"));
+        c.send(read);
+        assert_eq!(c.round_trip(drop_h, "d"), busy, "held by a reader alone");
+        let read_reply = c.next();
+        assert!(
+            read_reply.contains("\"id\":\"r\"") && read_reply.contains("\"ok\":true"),
+            "{read_reply}"
+        );
+        assert_eq!(c.round_trip(drop_h, "d"), dropped);
+
+        c.round_trip("{\"id\":\"bye\",\"op\":\"shutdown\"}", "bye");
+        assert!(child.wait().expect("waiting for daemon").success());
+    }
+
+    /// `cache-exhaust` clamps the cache budget to zero: a stored handle
+    /// lasts until the next store evicts it (no job claims it by then), so
+    /// `h` reads fine until `h2` is stored, and not after.
+    #[test]
+    fn cache_exhaust_evicts_a_handle_at_the_next_store() {
+        let path = socket_path("exhaust");
+        let mut child = spawn_daemon(&path, &["--threads", "1"], Some("cache-exhaust"));
+        let mut c = Client::ready(&path);
+        let store = |h: &str| {
+            format!("{{\"id\":\"s\",\"pipeline\":\"two\",\"instance\":\"gen:er:200:3\",\"store\":{h:?}}}")
+        };
+        let read = |h: &str| {
+            format!("{{\"id\":\"r\",\"pipeline\":\"two\",\"instance\":{{\"handle\":{h:?}}}}}")
+        };
+
+        assert!(c.round_trip(&store("h"), "s").contains("\"ok\":true"));
+        assert!(c.round_trip(&read("h"), "r").contains("\"ok\":true"), "h outlives its own store");
+        assert!(c.round_trip(&store("h2"), "s").contains("\"ok\":true"));
+        assert_eq!(
+            c.round_trip(&read("h"), "r"),
+            "{\"id\":\"r\",\"ok\":false,\"code\":\"handle\",\"error\":\"handle \\\"h\\\" exists but has no cached instance yet\",\"handle\":\"h\"}",
+            "the store of h2 evicted h"
+        );
+        assert!(c.round_trip(&read("h2"), "r").contains("\"ok\":true"));
+
+        c.round_trip("{\"id\":\"bye\",\"op\":\"shutdown\"}", "bye");
         assert!(child.wait().expect("waiting for daemon").success());
     }
 

@@ -868,17 +868,17 @@ fn binary_jobs_on_never_stored_handles_leave_nothing_to_drop() {
     d.finish();
 }
 
-/// `cancel` of a reused id targets the newest in-flight job with that id,
-/// also after an older job with the same id has finished: the finishing
-/// job removes only its own registration.
-#[test]
-fn binary_cancel_of_a_reused_id_targets_the_newest_job() {
+/// Two `sleep` jobs share the id `x` at `--threads 2`. Once the shorter
+/// one has replied, a `cancel` of `x` must reach the longer one, the
+/// newest `x` still in flight, and cut it short.
+fn cancel_reused_id_after_the_shorter_job_replied(first_ms: u64, second_ms: u64) {
+    let (short, long) = (first_ms.min(second_ms), first_ms.max(second_ms));
     let mut d = Daemon::spawn(&["--threads", "2"]);
     let t0 = std::time::Instant::now();
-    writeln!(d.stdin, "{{\"id\":\"x\",\"op\":\"sleep\",\"ms\":100}}").unwrap();
-    writeln!(d.stdin, "{{\"id\":\"x\",\"op\":\"sleep\",\"ms\":5000}}").unwrap();
+    writeln!(d.stdin, "{{\"id\":\"x\",\"op\":\"sleep\",\"ms\":{first_ms}}}").unwrap();
+    writeln!(d.stdin, "{{\"id\":\"x\",\"op\":\"sleep\",\"ms\":{second_ms}}}").unwrap();
     let first = d.next_line();
-    assert_eq!(first, "{\"id\":\"x\",\"ok\":true,\"op\":\"sleep\",\"ms\":100}");
+    assert_eq!(first, format!("{{\"id\":\"x\",\"ok\":true,\"op\":\"sleep\",\"ms\":{short}}}"));
     let ack = d.round_trip("{\"id\":\"c\",\"op\":\"cancel\",\"job\":\"x\"}");
     assert_eq!(ack, "{\"id\":\"c\",\"ok\":true,\"op\":\"cancel\",\"job\":\"x\"}");
     let second = d.next_line();
@@ -886,11 +886,25 @@ fn binary_cancel_of_a_reused_id_targets_the_newest_job() {
     assert!(second.contains("\"code\":\"deadline\""), "{second}");
     assert!(second.contains("\"cancelled\":true"), "{second}");
     assert!(
-        // lint:allow(test-deadline): upper bound proving the 5 s sleep was cut short — must stay below 5 s, so it cannot route through the widening knob
-        t0.elapsed() < std::time::Duration::from_secs(4),
-        "the 5 s sleep must be cut short by the cancel"
+        // lint:allow(test-deadline): upper bound proving the long sleep was cut short — must stay below its length, so it cannot route through the widening knob
+        t0.elapsed() < std::time::Duration::from_millis(long - 1000),
+        "the {long} ms sleep must be cut short by the cancel"
     );
     d.finish();
+}
+
+/// `cancel` of a reused id targets the newest in-flight job with that id,
+/// also after an older job with the same id has finished.
+#[test]
+fn binary_cancel_of_a_reused_id_targets_the_newest_job() {
+    cancel_reused_id_after_the_shorter_job_replied(100, 5000);
+}
+
+/// A finished newer job with the id leaves an older in-flight one
+/// cancellable.
+#[test]
+fn binary_cancel_reaches_an_older_job_once_a_newer_one_with_its_id_finished() {
+    cancel_reused_id_after_the_shorter_job_replied(3000, 100);
 }
 
 // ---------------------------------------------------------------------------
@@ -1175,6 +1189,33 @@ fn a_hang_up_frees_the_slot_while_another_clients_job_runs() {
     let long = next_of("long");
     assert!(long.contains("\"cancelled\":true"), "{long}");
     c.round_trip("{\"id\":\"bye\",\"op\":\"shutdown\"}", "bye");
+    assert!(child.wait().expect("waiting for daemon").success());
+}
+
+/// `cancel` reaches only its own connection's jobs: client B's cancel of
+/// client A's in-flight id is a `"job"` error, and A's job completes.
+#[cfg(unix)]
+#[test]
+fn a_cancel_never_reaches_another_connections_job() {
+    let path = socket_path("cross-cancel");
+    let mut child = serve_cmd(&["--threads", "2", "--socket", path.to_str().unwrap()])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning socket daemon");
+    let mut a = SocketClient::ready(&path);
+    let mut b = SocketClient::ready(&path);
+    a.send("{\"id\":\"x\",\"op\":\"sleep\",\"ms\":500}");
+    // A ping answered after a job line proves the line was scheduled.
+    a.round_trip("{\"id\":\"p\",\"op\":\"ping\"}", "p");
+    let refused = b.round_trip("{\"id\":\"c\",\"op\":\"cancel\",\"job\":\"x\"}", "c");
+    assert_eq!(
+        refused,
+        "{\"id\":\"c\",\"ok\":false,\"code\":\"job\",\"error\":\"no in-flight job \\\"x\\\" on this connection\"}"
+    );
+    assert_eq!(a.next(), "{\"id\":\"x\",\"ok\":true,\"op\":\"sleep\",\"ms\":500}");
+    b.round_trip("{\"id\":\"bye\",\"op\":\"shutdown\"}", "bye");
     assert!(child.wait().expect("waiting for daemon").success());
 }
 
