@@ -15,7 +15,7 @@
 //! `V` is matched, and the partition is independent of which maximum
 //! matching is used — all properties checked by the tests below.
 
-use dsmatch_exact::hopcroft_karp;
+use dsmatch_exact::push_relabel;
 use dsmatch_graph::{BipartiteGraph, Matching, NIL};
 
 /// Which coarse block a vertex belongs to.
@@ -53,7 +53,7 @@ pub struct DmDecomposition {
 }
 
 /// Compute the coarse DM decomposition, finding a maximum matching with
-/// Hopcroft–Karp first.
+/// push-relabel first (any maximum matching gives the same partition).
 ///
 /// ```
 /// use dsmatch_dm::dulmage_mendelsohn;
@@ -67,7 +67,7 @@ pub struct DmDecomposition {
 /// assert_eq!(dm.sprank(), 1);
 /// ```
 pub fn dulmage_mendelsohn(g: &BipartiteGraph) -> DmDecomposition {
-    dulmage_mendelsohn_with(g, hopcroft_karp(g))
+    dulmage_mendelsohn_with(g, push_relabel(g))
 }
 
 /// Compute the coarse DM decomposition from a **maximum** matching.
@@ -273,6 +273,38 @@ mod tests {
         assert_eq!(a.col_part, b.col_part);
     }
 
+    /// `dulmage_mendelsohn` (push-relabel) against the Hopcroft–Karp
+    /// reference: the same coarse partition and counts, and fine
+    /// decompositions with the same number and sizes of blocks.
+    fn assert_engine_independent(g: &BipartiteGraph, label: &str) {
+        let dm = dulmage_mendelsohn(g);
+        let reference = dulmage_mendelsohn_with(g, dsmatch_exact::hopcroft_karp(g));
+        assert_eq!(dm.row_part, reference.row_part, "{label}: row parts");
+        assert_eq!(dm.col_part, reference.col_part, "{label}: column parts");
+        let counts =
+            |d: &DmDecomposition| [d.h_rows, d.h_cols, d.s_rows, d.s_cols, d.v_rows, d.v_cols];
+        assert_eq!(counts(&dm), counts(&reference), "{label}: counts");
+        let blocks = |d: &DmDecomposition| {
+            let fine = crate::fine_decomposition(g, d);
+            let mut sizes = fine.block_sizes;
+            sizes.sort_unstable();
+            (fine.block_count, sizes)
+        };
+        assert_eq!(blocks(&dm), blocks(&reference), "{label}: fine blocks");
+    }
+
+    #[test]
+    fn partition_does_not_depend_on_the_matching_engine() {
+        for (label, g) in [
+            ("er d = 1.5", dsmatch_gen::erdos_renyi_square(3000, 1.5, 1)),
+            ("er d = 2", dsmatch_gen::erdos_renyi_square(3000, 2.0, 2)),
+            ("rect", dsmatch_gen::erdos_renyi_rect(2000, 3000, 3.0, 3)),
+            ("mesh", dsmatch_gen::grid_mesh(40, 50)),
+        ] {
+            assert_engine_independent(&g, label);
+        }
+    }
+
     #[test]
     fn sprank_matches_hopcroft_karp_on_random() {
         use dsmatch_graph::SplitMix64;
@@ -292,6 +324,7 @@ mod tests {
             assert_eq!(dm.sprank(), dsmatch_exact::sprank(&g));
             assert!(dm.verify_zero_blocks(&g));
             assert_eq!(dm.s_rows, dm.s_cols);
+            assert_engine_independent(&g, "random 12 × 12");
         }
     }
 }

@@ -9,7 +9,9 @@
 //! - the **coarse** decomposition ([`dulmage_mendelsohn`]): the partition of
 //!   rows and columns into the horizontal (`H`, underdetermined), square
 //!   (`S`) and vertical (`V`, overdetermined) parts via alternating-path
-//!   reachability from unmatched vertices;
+//!   reachability from the vertices a maximum matching leaves unmatched.
+//!   Any maximum matching gives the same partition; the crate takes it
+//!   from push-relabel, the engine's fastest exact solver;
 //! - the **fine** decomposition ([`fine_decomposition`]): the strongly
 //!   connected components of the square part, giving the block
 //!   upper-triangular form of `S` and the total-support test;

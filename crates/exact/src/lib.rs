@@ -27,9 +27,11 @@
 //!   related work (\[9\], \[21\]) evaluates as the main alternative to
 //!   augmenting-path solvers, with global relabeling: a breadth-first
 //!   search that resets every label to its exact distance before the
-//!   first bid and after every `n_r + n_c` pushes, so rows with no
-//!   augmenting path retire at once. It is the engine's finisher for
-//!   sparse instances (`auto`);
+//!   first bid, after every `n_r + n_c` pushes, and as soon as
+//!   `(n_r + n_c) / 8` pushes in a row have claimed no free column, so
+//!   rows with no augmenting path retire at once. It is the engine's
+//!   finisher (`auto`) and finds the maximum matching of the `dm,`
+//!   decomposition;
 //! - [`sprank`] — structural rank of a pattern matrix (maximum matching
 //!   cardinality), paper Table 3's `sprank/n` column;
 //! - [`brute_force_maximum`] — exponential oracle for property tests on

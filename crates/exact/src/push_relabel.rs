@@ -18,13 +18,20 @@
 //! Bids alone raise a label by one at a time, so a row with no augmenting
 //! path would retire only after `Θ(n)` bids on each of its columns —
 //! quadratic work on instances with deficient rows. **Global relabeling**
-//! (Kaya–Langguth–Manne–Uçar) bounds this: once before the first bid and
-//! again after every `n_r + n_c` pushes, one breadth-first search from
+//! (Kaya–Langguth–Manne–Uçar) bounds this: one breadth-first search from
 //! the free columns over the alternating graph (a column's rows lead on
 //! to those rows' mates) sets every label to its exact distance, and every
 //! column it does not reach to `n_c + 1`, so rows with no augmenting path
 //! retire at their next pop. Each search costs `O(n + τ)`, about as much
-//! as the `n_r + n_c` bids between two of them.
+//! as the `n_r + n_c` bids between two periodic ones. The schedule:
+//!
+//! - once before the first bid;
+//! - after every `n_r + n_c` pushes;
+//! - as soon as `(n_r + n_c) / 8` pushes in a row have claimed no free
+//!   column. The matching has then stopped growing, and the rows left
+//!   with no augmenting path retire at once instead of bidding until the
+//!   next periodic search. A cold `erdos_renyi_square(100000, 4.0, 1)`
+//!   stops after 248,950 pushes instead of 400,000.
 
 use dsmatch_graph::{BipartiteGraph, CancelToken, Cancelled, Matching, VertexId, NIL};
 
@@ -61,6 +68,12 @@ pub fn push_relabel_from(g: &BipartiteGraph, initial: Matching) -> (Matching, Pu
 /// large enough that the poll never shows up in a profile.
 const CANCEL_POLL_INTERVAL: usize = 4096;
 
+/// A run of `(n_r + n_c) / STALL_DIVISOR` pushes that claim no free column
+/// (every one an eviction) triggers a global relabel ahead of the period:
+/// once the matching has stopped growing, the rows left with no augmenting
+/// path retire at their next pop instead of bidding until the periodic one.
+const STALL_DIVISOR: usize = 8;
+
 /// [`push_relabel_from`] with cooperative cancellation: the token is
 /// polled once up front and then every `CANCEL_POLL_INTERVAL` queue
 /// pops (push-relabel has no phases, so a bid-slice stands in for one).
@@ -94,6 +107,10 @@ pub fn push_relabel_cancel(
     let mut since_poll = 0usize;
     // Pushes until the next global relabel: `0` relabels before the first bid.
     let mut until_relabel = 0usize;
+    // Pushes since the last one that claimed a free column (or the last
+    // global relabel); reaching `stall_limit` relabels at the next pop.
+    let stall_limit = ((n_r + n_c) / STALL_DIVISOR).max(1);
+    let mut stalled = 0usize;
     let mut search = Search::default();
     while let Some(r) = queue.pop_front() {
         since_poll += 1;
@@ -109,6 +126,7 @@ pub fn push_relabel_cancel(
             global_relabel(g, &rmate, &cmate, &mut psi, limit, &mut search);
             stats.global_relabels += 1;
             until_relabel = n_r + n_c;
+            stalled = 0;
         }
         // Find cheapest and second-cheapest adjacent columns.
         let mut best = NIL;
@@ -134,9 +152,15 @@ pub fn push_relabel_cancel(
         rmate[r] = best;
         stats.pushes += 1;
         until_relabel -= 1;
-        if prev != NIL {
+        if prev == NIL {
+            stalled = 0;
+        } else {
             rmate[prev as usize] = NIL;
             queue.push_back(prev);
+            stalled += 1;
+            if stalled == stall_limit {
+                until_relabel = 0;
+            }
         }
         // Relabel: the next bidder for `best` must outbid the runner-up.
         let new_psi = second_psi.saturating_add(1).min(limit);
@@ -335,6 +359,23 @@ mod tests {
             assert_eq!(m.cardinality(), opt, "{start}");
             assert!(stats.pushes <= budget, "{start}: {stats:?}");
             assert!(stats.global_relabels >= 1, "{start}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn stalled_matching_relabels_before_the_period() {
+        // Cold starts whose matching stops growing well before the second
+        // periodic relabel: without the stall trigger the rows left with
+        // no augmenting path bid until it, and the run stops at exactly
+        // `2 (n_r + n_c)` pushes (8,000 and 20,000); with it, at 4,884
+        // and 11,734.
+        for (n, seed) in [(2000, 3), (5000, 2)] {
+            let g = dsmatch_gen::erdos_renyi_square(n, 4.0, seed);
+            let (m, stats) = push_relabel_from(&g, Matching::new(n, n));
+            m.verify(&g).unwrap();
+            assert_eq!(m.cardinality(), hopcroft_karp(&g).cardinality(), "n = {n}");
+            let bound = 3 * (g.nrows() + g.ncols()) / 2;
+            assert!(stats.pushes <= bound, "n = {n}: {stats:?}");
         }
     }
 

@@ -7,7 +7,7 @@ use dsmatch_core::{
     cheap_random_edge, cheap_random_vertex, karp_sipser_cancel_ws, one_out_matching,
     one_sided_match_ws, two_sided_choices_into, two_sided_match_cancel_ws, KarpSipserConfig,
 };
-use dsmatch_dm::{dulmage_mendelsohn, fine_decomposition};
+use dsmatch_dm::{dulmage_mendelsohn_with, fine_decomposition};
 use dsmatch_exact::{
     bfs_augment_from, hopcroft_karp_cancel_ws, hopcroft_karp_par_cancel, pothen_fan_cancel_ws,
     pothen_fan_graft_cancel, pothen_fan_par_cancel, push_relabel_cancel,
@@ -587,10 +587,13 @@ impl Pipeline {
     }
 
     /// Solve a `dm,<inner>` workload: coarse + fine Dulmage–Mendelsohn
-    /// decomposition, every non-trivial fine block extracted as its own
-    /// bipartite instance and solved independently by `inner` as a
-    /// stealable job on the workspace's block pool, and the block mates
-    /// stitched back through the block permutation.
+    /// decomposition on a cold push-relabel matching, every non-trivial
+    /// fine block extracted as its own bipartite instance and solved
+    /// independently by `inner` as a stealable job on the workspace's
+    /// block pool, and the block mates stitched back through the block
+    /// permutation. The token reaches the matching's bid loop and is
+    /// polled again once the decomposition is complete, so an instance
+    /// with no multi-pair block still observes its deadline.
     ///
     /// Determinism contract: block boundaries, per-block seeds, and stitch
     /// order depend only on the instance — never on pool size — and every
@@ -603,10 +606,12 @@ impl Pipeline {
         ws: &mut Workspace,
         token: &CancelToken,
     ) -> Result<SolveReport, Cancelled> {
-        token.check()?;
         let t0 = Instant::now();
-        let dm = dulmage_mendelsohn(g);
+        let cold = Matching::new(g.nrows(), g.ncols());
+        let (matching, _) = push_relabel_cancel(g, cold, token)?;
+        let dm = dulmage_mendelsohn_with(g, matching);
         let fine = fine_decomposition(g, &dm);
+        token.check()?;
         let mut stages = vec![StageReport {
             stage: "dm".to_string(),
             seconds: t0.elapsed().as_secs_f64(),

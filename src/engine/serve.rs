@@ -1100,9 +1100,9 @@ fn execute(ticket: &Ticket) -> Result<Json, JobError> {
 }
 
 /// Run one scheduled job on a worker: execute (panic-safe), leave the job
-/// list and start the jobs it held back, then enqueue the reply and
-/// release the admission slot — in that order, so a drain that observes
-/// zero in-flight jobs knows every reply is already in the channel.
+/// list, enqueue the reply, start the jobs it held back and release the
+/// admission slot — in that order, so a drain that observes zero in-flight
+/// jobs knows every reply is already in the channel.
 fn run_job<'s>(scope: &rayon::Scope<'s>, ticket: Arc<Ticket>) {
     let Ticket { job, ctx, conn, .. } = &*ticket;
     faults::stall_if_due("start", ctx.ord);
@@ -1134,10 +1134,12 @@ fn run_job<'s>(scope: &rayon::Scope<'s>, ticket: Arc<Ticket>) {
         shared.jobs.retain(|(listed, _)| !Arc::ptr_eq(listed, &ticket));
         shared.start_ready()
     };
-    // A started job may belong to a different connection: its owner's
-    // drain tracks it through the owner's in-flight counter.
-    spawn_tasks(scope, &conn.core, started);
     let _ = conn.tx.send(Event::Reply(conn.render(reply)));
+    // The jobs this one held back start only once its reply is queued, so
+    // none of their replies can overtake it. A started job may belong to a
+    // different connection: its owner's drain tracks it through the
+    // owner's in-flight counter.
+    spawn_tasks(scope, &conn.core, started);
     conn.in_flight.fetch_sub(1, Ordering::SeqCst);
 }
 

@@ -4,7 +4,7 @@
 
 use dsmatch::engine::{Pipeline, Solver, Workspace};
 use dsmatch::exact::sprank;
-use dsmatch::graph::{BipartiteGraph, TripletMatrix, NIL};
+use dsmatch::graph::{BipartiteGraph, CancelToken, Cancelled, TripletMatrix, NIL};
 use dsmatch::weighted::{
     brute_force_max_weight, greedy_weighted, matching_weight, suitor, WeightedGraph,
 };
@@ -123,6 +123,38 @@ fn dm_solve_is_sprank_equal_and_byte_identical_across_pool_sizes() {
             );
         }
     }
+}
+
+/// A `dm,` solve observes its token on an instance with no fine block of
+/// two or more pairs, where the inner pipeline never runs: the
+/// decomposition's maximum matching polls the token, and so does the step
+/// after the fine decomposition. Cancelled from another thread about
+/// 10 ms in, the solve returns `Cancelled`, and the workspace it ran on
+/// then solves byte-identically to a fresh one.
+#[test]
+fn dm_solve_without_blocks_is_cancelled_mid_decomposition() {
+    let g = dsmatch::gen::erdos_renyi_square(200_000, 8.0, 3);
+    let p: Pipeline = "dm,two,pr".parse().unwrap();
+    let mut ws = Workspace::new();
+    let token = CancelToken::unbounded();
+    let canceller = {
+        let token = token.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            token.cancel();
+        })
+    };
+    let cancelled = p.solve_cancel(&g, &mut ws, &token).err();
+    canceller.join().unwrap();
+    assert_eq!(cancelled, Some(Cancelled));
+
+    let again = p.solve(&g, &mut ws);
+    let fresh = p.solve(&g, &mut Workspace::new());
+    assert_eq!(fresh.stages.len(), 1, "no block left for the inner pipeline");
+    assert_eq!(again.matching.rmates(), fresh.matching.rmates());
+    assert_eq!(again.matching.cmates(), fresh.matching.cmates());
+    assert_eq!(again.stages[0].phases, fresh.stages[0].phases);
+    assert_eq!(again.cardinality(), sprank(&g));
 }
 
 /// Degenerate instances through every v2 path: empty graphs, structurally

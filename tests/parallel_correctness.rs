@@ -551,10 +551,29 @@ fn weighted_instances() -> [(&'static str, BipartiteGraph); 4] {
     ]
 }
 
+/// The pairs of a `dm,` answer `m` outside the fine blocks of at least 2
+/// pairs, and how many pairs a maximum matching has there (sprank less
+/// those blocks' pairs, with Hopcroft–Karp as the reference). Outside the
+/// blocks the answer keeps the mates of the decomposition's maximum
+/// matching, so the two counts must agree whatever the inner workload
+/// reaches inside the blocks.
+fn dm_pairs_outside_blocks(g: &BipartiteGraph, m: &Matching) -> (usize, usize) {
+    let dm = dsmatch::dm::dulmage_mendelsohn_with(g, hopcroft_karp(g));
+    let fine = dsmatch::dm::fine_decomposition(g, &dm);
+    let in_block = |i: usize| {
+        let b = fine.block_of_row[i];
+        b != NIL && fine.block_sizes[b as usize] >= 2
+    };
+    let outside = m.iter_pairs().filter(|&(i, _)| !in_block(i)).count();
+    let block_pairs: usize = fine.block_sizes.iter().filter(|&&s| s >= 2).sum();
+    (outside, dm.sprank() - block_pairs)
+}
+
 /// Golden outputs of the weighted workload at pools 1, 2 and 4: the row
 /// mates (as an FNV-1a checksum) and the total weight bits of `suitor`
 /// fed by `sk:5` scaling, on [`weighted_instances`]. The `dm,` workload
-/// reports no weight; only its mates are pinned. A rewrite of the
+/// reports no weight; only its mates are pinned, and they must reach
+/// sprank outside the multi-pair blocks `suitor` solves. A rewrite of the
 /// weighted view or of the Suitor kernel that moves a single mate or
 /// weight bit fails here.
 #[test]
@@ -565,13 +584,13 @@ fn weighted_workloads_are_pinned() {
     // (instance, spec, row-mates checksum, weight bits)
     let expected: &[(&str, &str, u64, Option<u64>)] = &[
         ("er8", "scale:sk:5,suitor", 2538034233584095647, Some(4660890648188726190)),
-        ("er8", "dm,scale:sk:5,suitor", 16520146703969796870, None),
+        ("er8", "dm,scale:sk:5,suitor", 15761716480945476202, None),
         ("er1.5", "scale:sk:5,suitor", 4421959915225934579, Some(4670390824571444112)),
-        ("er1.5", "dm,scale:sk:5,suitor", 11734142070004088596, None),
+        ("er1.5", "dm,scale:sk:5,suitor", 4543066357534185052, None),
         ("mesh", "scale:sk:5,suitor", 16672846182190508877, Some(4659985966776114884)),
         ("mesh", "dm,scale:sk:5,suitor", 16672846182190508877, None),
         ("rect", "scale:sk:5,suitor", 9989061463115151422, Some(4661862243420774549)),
-        ("rect", "dm,scale:sk:5,suitor", 9036088220523962321, None),
+        ("rect", "dm,scale:sk:5,suitor", 15129773171138339354, None),
     ];
     let mut got = Vec::new();
     for (name, g) in &weighted_instances() {
@@ -581,6 +600,10 @@ fn weighted_workloads_are_pinned() {
             for t in [1usize, 2, 4] {
                 let report = pipeline.solve(g, &mut Workspace::with_threads(t));
                 report.matching.verify(g).unwrap();
+                if spec.starts_with("dm,") {
+                    let (outside, max) = dm_pairs_outside_blocks(g, &report.matching);
+                    assert_eq!(outside, max, "{name}: {spec} misses sprank outside its blocks");
+                }
                 let row =
                     (*name, spec, fnv1a(report.matching.rmates()), report.weight.map(f64::to_bits));
                 match reference {
